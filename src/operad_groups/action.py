@@ -95,12 +95,6 @@ class StabilizerWitness:
         return cls(P, counts, alpha)
 
 
-def _component_layout(W: StabilizerWitness):
-    """Slot boundaries of each symbol block in the witness codomain."""
-    word_starts = block_starts(W.subwords)
-    return word_starts
-
-
 def xi(components, W: StabilizerWitness) -> Span:
     """Assemble a stabilizing element from one span per symbol block."""
     components = tuple(components)
@@ -149,7 +143,7 @@ def decompose(g: Span, W: StabilizerWitness):
     if g.config != W.config or g.base_len != W.base_arrow.codomain_len:
         raise BaseMismatchError("span and witness live over different bases")
     alpha = W.base_arrow
-    word_starts = _component_layout(W)
+    word_starts = block_starts(W.subwords)
     z_pre, z_post = _force_through(g, alpha)
     blocks_pre = _block_of_coords(z_pre, word_starts)
     blocks_post = _block_of_coords(z_post, word_starts)

@@ -33,6 +33,12 @@ SYMMETRIC = "symmetric"
 KARY_TREE = "kary_tree"
 DYADIC_CUBE = "dyadic_cube"
 
+# The most cuts a parsed literal may spend on one cell: it bounds the nesting
+# of tree and cut-tree literals and the total exponent of a box, so that the
+# recursive validators and formatters stay far from the interpreter's
+# recursion limit and no literal can ask for a huge base**exponent.
+MAX_CELL_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -191,8 +197,13 @@ def parse_box(text: str) -> Box:
         pieces = pair.split(":")
         if len(pieces) != 2:
             raise ParseError(f"bad box axis entry: {pair!r}")
-        exps.append(int(pieces[0]))
-        offs.append(int(pieces[1]))
+        try:
+            exps.append(int(pieces[0]))
+            offs.append(int(pieces[1]))
+        except ValueError:
+            raise ParseError(f"bad box axis entry: {pair!r}") from None
+    if sum(exps) > MAX_CELL_DEPTH:
+        raise ParseError(f"box {text.strip()!r} is more than {MAX_CELL_DEPTH} cuts deep")
     return Box(tuple(exps), tuple(offs))
 
 
@@ -230,7 +241,7 @@ class Operation:
         return format_operation(self)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def _validate_cells(cfg: BackendConfig, cells) -> None:
     # memoized: the same operation is rebuilt constantly by composition
     base, dim = cfg.base, cfg.dim
@@ -348,7 +359,7 @@ def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
     return op
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def op_sorted_with_rank(op: Operation) -> tuple[Operation, Permutation]:
     """Lexicographically sorted copy plus the rank permutation sending each
     stored cell position to its sorted position."""
@@ -361,7 +372,7 @@ def op_sorted_with_rank(op: Operation) -> tuple[Operation, Permutation]:
     return Operation(op.config, _sorted_cells(op.cells, base)), Permutation(tuple(imgs))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def op_common_refinement(p: Operation, q: Operation):
     """Overlay of two partitions with the relative data on both sides.
 
@@ -437,7 +448,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def _tree_cell_shapes(k: int, gens: int) -> tuple:
     if gens == 0:
         return ((Box.whole(1),),)
@@ -452,7 +463,7 @@ def _tree_cell_shapes(k: int, gens: int) -> tuple:
     return tuple(shapes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def _cube_cell_shapes(d: int, gens: int) -> tuple:
     if gens == 0:
         return ((Box.whole(d),),)
@@ -560,10 +571,24 @@ class CutTree:
 LEAF = CutTree()
 
 
+def _check_nesting(tokens, opener: str, closer: str) -> None:
+    """Reject literals nested deeper than MAX_CELL_DEPTH before any
+    recursive descent runs."""
+    depth = 0
+    for tok in tokens:
+        if tok == opener:
+            depth += 1
+            if depth > MAX_CELL_DEPTH:
+                raise ParseError(f"literal nested more than {MAX_CELL_DEPTH} levels deep")
+        elif tok == closer:
+            depth -= 1
+
+
 def parse_cut_tree(text: str) -> CutTree:
     tokens = re.findall(r"\[|\]|\.|\d+", text)
     if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", text):
         raise ParseError(f"bad cut tree literal: {text!r}")
+    _check_nesting(tokens, "[", "]")
     pos = 0
 
     def next_token():
@@ -599,6 +624,7 @@ def _parse_tree_literal(text: str, config: BackendConfig) -> Operation:
     if re.sub(r"[().\s]", "", text):
         raise ParseError(f"bad tree literal: {text!r}")
     tokens = re.findall(r"[().]", text)
+    _check_nesting(tokens, "(", ")")
     k = config.size
     pos = 0
 

@@ -27,6 +27,7 @@ from .backend import (
 from .errors import (
     CodomainMismatchError,
     DomainMismatchError,
+    FlavorError,
     NotFillingsError,
     ParseError,
     SizeMismatchError,
@@ -87,7 +88,7 @@ class Arrow:
             object.__setattr__(self, "forest", tuple(canon))
             object.__setattr__(self, "perm", self.perm * block)
         if self.config.flavor == PLANAR and not self.perm.is_identity():
-            raise ValueError("planar arrows take the identity permutation")
+            raise FlavorError("planar arrows take the identity permutation")
 
     @classmethod
     def identity(cls, config: BackendConfig, n: int) -> "Arrow":

@@ -14,6 +14,7 @@ import random
 from .backend import (
     BackendConfig,
     Box,
+    KARY_TREE,
     SYMMETRIC,
     forests_up_to,
     op_comb,
@@ -21,7 +22,13 @@ from .backend import (
     op_generator,
 )
 from .category import Arrow, arrow_eq, compose, perm_arrow
-from .errors import NotSplitError, SizeMismatchError, UnknownError
+from .errors import (
+    FlavorError,
+    NotSplitError,
+    SizeMismatchError,
+    UnknownError,
+    UnsupportedBackendError,
+)
 from .markings import SemiPartitionClass, ball_at, class_subset, is_ball, sp_class_eq
 from .perms import Permutation
 from .poset import is_split
@@ -32,7 +39,7 @@ from .action import act
 
 def _require_symmetric(config: BackendConfig, what: str):
     if config.flavor != SYMMETRIC:
-        raise ValueError(f"{what} needs the symmetric flavor")
+        raise FlavorError(f"{what} needs the symmetric flavor")
 
 
 def _cycle(degree: int, a: int, b: int, c: int) -> Permutation:
@@ -89,6 +96,12 @@ def pingpong_balls(config: BackendConfig):
 def pingpong_check(config: BackendConfig, depth: int) -> Report:
     """Table tennis inclusions for the free subgroup on the two balls."""
     from .markings import all_balls
+
+    if config.kind == KARY_TREE and config.size != 2:
+        # the two balls must be complementary halves, as for k = 2 and cubes
+        raise UnsupportedBackendError(
+            f"the ping-pong certificate needs a binary split, not {config}"
+        )
 
     g1 = make_gamma1(config)
     g2 = make_gamma2(config)

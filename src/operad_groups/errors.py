@@ -94,6 +94,18 @@ class NotFillingsError(OperadError):
     code = "E_NOT_FILLINGS"
 
 
+class FlavorError(OperadError, ValueError):
+    """A construction needs a flavor (planar or symmetric) it was not given."""
+
+    code = "E_FLAVOR"
+
+
+class UnsupportedBackendError(OperadError):
+    """A construction is only defined for some backends, not the chosen one."""
+
+    code = "E_UNSUPPORTED_BACKEND"
+
+
 class UnknownError(OperadError):
     """A bounded search was inconclusive within its budget."""
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .backend import (
     BackendConfig,
     Box,
-    DYADIC_CUBE,
     KARY_TREE,
     PLANAR,
     cell_operation,
@@ -26,9 +25,10 @@ from .backend import (
     realize,
     standard_cells,
 )
-from .category import Arrow, compose, perm_arrow, square_fill
+from .category import Arrow, compose, square_fill
 from .errors import (
     BaseMismatchError,
+    FlavorError,
     LengthError,
     NotFillingsError,
     NotMultiballError,
@@ -165,7 +165,7 @@ class MarkedArrow:
                 f"{self.arrow.domain_len}"
             )
         if self.arrow.config.flavor == PLANAR and not self.marking.is_ordered():
-            raise ValueError("planar markings must be ordered (contiguous symbols)")
+            raise FlavorError("planar markings must be ordered (contiguous symbols)")
 
     @property
     def config(self) -> BackendConfig:
@@ -252,6 +252,47 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     return ma_subset(P.rep, Q.rep) and ma_subset(Q.rep, P.rep)
 
 
+def class_key(P: SemiPartitionClass) -> tuple:
+    """Canonical hashable key: equal exactly when sp_class_eq holds.
+
+    Containment both ways maps each symbol's region onto one region of
+    the other class, so two classes are equal exactly when they mark the
+    same regions of every base coordinate up to renaming the symbols.  The
+    key describes that labelling: per base coordinate, the trie of maximal
+    uniformly labelled cells under a fixed split rule (k-ary for trees; for
+    cubes, halve the axis of smallest exponent, the lowest such axis on
+    ties).  A leaf is its label (None for unmarked), an inner node the
+    tuple of its children; symbols are renamed by first occurrence.
+    """
+    base, dim = P.config.base, P.config.dim
+    items = [[] for _ in range(P.base_len)]
+    for (j, cell), s in zip(realize(P.rep.arrow), P.rep.marking.symbols):
+        items[j].append((cell, s))
+    names: dict = {}
+
+    def node(box: Box, here):
+        labels = {s for _, s in here}
+        if len(labels) == 1:  # also the case of one cell containing the box
+            s = labels.pop()
+            return None if s is None else names.setdefault(s, len(names))
+        axis = min(range(dim), key=lambda i: box.exps[i])
+        e = box.exps[axis]
+        groups = [[] for _ in range(base)]
+        for cell, s in here:
+            ce = cell.exps[axis]
+            if ce <= e:  # spans the box along the split axis
+                for group in groups:
+                    group.append((cell, s))
+            else:
+                groups[cell.offs[axis] // base ** (ce - e - 1) % base].append((cell, s))
+        return tuple(
+            node(box.child(axis, digit, base), group) for digit, group in enumerate(groups)
+        )
+
+    whole = Box.whole(dim)
+    return tuple(node(whole, here) for here in items)
+
+
 def class_subset(Q: SemiPartitionClass, P: SemiPartitionClass) -> bool:
     """Refinement of classes: Q is finer than (contained in) P."""
     return ma_subset(Q.rep, P.rep)
@@ -304,24 +345,6 @@ def is_ball(B: SemiPartitionClass) -> bool:
         offs.append(int(off))
     hull = Box(tuple(exps), tuple(offs))
     return sum(b.volume(base) for b in boxes) == hull.volume(base)
-
-
-def ball_hull(B: SemiPartitionClass) -> tuple[int, Box]:
-    """The (coordinate, cell) a ball fills; only meaningful when is_ball."""
-    base = B.config.base
-    cells = marked_cells(B)
-    j = cells[0][0]
-    boxes = [cell for _, cell in cells]
-    exps, offs = [], []
-    for axis in range(B.config.dim):
-        a = min(b.lower(base)[axis] for b in boxes)
-        width = max(b.upper(base)[axis] for b in boxes) - a
-        e = 0
-        while Fraction(1, base**e) > width:
-            e += 1
-        exps.append(e)
-        offs.append(int(a * base**e))
-    return j, Box(tuple(exps), tuple(offs))
 
 
 def object_class(B: SemiPartitionClass) -> int:

@@ -60,19 +60,6 @@ class Permutation:
         return "p[" + ",".join(str(v) for v in self.imgs) + "]"
 
 
-def sorting_permutation(keys) -> Permutation:
-    """The permutation sending position i to the rank of keys[i].
-
-    Stable: equal keys keep their original relative order.  Applying the
-    result with ``permute`` yields the sorted sequence.
-    """
-    order = sorted(range(len(keys)), key=lambda i: (keys[i],))
-    imgs = [0] * len(keys)
-    for rank, i in enumerate(order):
-        imgs[i] = rank
-    return Permutation(tuple(imgs))
-
-
 def block_starts(sizes) -> list[int]:
     """Cumulative offsets of consecutive blocks of the given sizes."""
     starts, acc = [], 0
@@ -99,5 +86,8 @@ def parse_permutation(text: str) -> Permutation:
     if not m:
         raise ParseError(f"bad permutation literal: {text!r}")
     body = m.group(1).strip()
-    imgs = tuple(int(tok) for tok in body.split(",")) if body else ()
+    try:
+        imgs = tuple(int(tok) for tok in body.split(",")) if body else ()
+    except ValueError:
+        raise ParseError(f"bad permutation literal: {text!r}") from None
     return Permutation(imgs)

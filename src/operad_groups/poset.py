@@ -29,11 +29,11 @@ from .markings import (
     Marking,
     MarkedArrow,
     SemiPartitionClass,
+    class_key,
     class_subset,
     full_markings,
     object_class,
     object_equivalent,
-    sp_class_eq,
     submultiballs,
 )
 from .perms import block_starts, locate_block
@@ -159,7 +159,8 @@ class PosetTruncation:
 def enumerate_pn(
     config: BackendConfig, base: int, depth: int, y: int, n: int
 ) -> PosetTruncation:
-    """All n-condition partitions within a generator budget, deduplicated."""
+    """All n-condition partitions within a generator budget, deduplicated:
+    the first candidate in printed order stands for its class."""
     candidates = []
     for forest in forests_up_to(config, base, depth):
         arrow = Arrow.from_forest(config, forest)
@@ -168,11 +169,10 @@ def enumerate_pn(
             if n_condition(P, y, n):
                 candidates.append(P)
     candidates.sort(key=lambda P: str(P.rep))
-    elements = []
+    elements = {}
     for P in candidates:
-        if not any(sp_class_eq(P, kept) for kept in elements):
-            elements.append(P)
-    return PosetTruncation(config, base, depth, y, n, tuple(elements))
+        elements.setdefault(class_key(P), P)
+    return PosetTruncation(config, base, depth, y, n, tuple(elements.values()))
 
 
 def check_filtered(T: PosetTruncation) -> Report:

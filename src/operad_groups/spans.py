@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .backend import BackendConfig
 from .category import Arrow, arrow_eq, compose, realize, square_fill, tensor
-from .errors import BaseMismatchError, ParseError, SizeMismatchError
-from .perms import Permutation
+from .errors import BaseMismatchError, NotPartitionError, ParseError, SizeMismatchError
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,14 @@ def sp_eq(g: Span, h: Span) -> bool:
 
 
 def sp_is_identity(g: Span) -> bool:
-    return sp_eq(g, sp_identity(g.config, g.base_len))
+    """A span is the identity exactly when its legs are equal.
+
+    sp_eq against the identity fills (den, id) by (b1, b2) with
+    b1.den = b2 and compares b1.num with b2; left cancellation turns
+    b1.num = b1.den into num = den, and the unique Arrow normal form that
+    sp_eq and arrow_eq rely on makes that a structural comparison.
+    """
+    return arrow_eq(g.den, g.num)
 
 
 def sp_pow(g: Span, n: int) -> Span:
@@ -130,14 +136,15 @@ class _PieceIndex:
         pieces = self.buckets.get(j, ())
         if self.dim == 1:
             lowers = [row[0].lower(self.base)[0] for row in pieces]
-            row = pieces[bisect_right(lowers, point[0]) - 1]
-            return self._affine(row, j, point)
+            i = bisect_right(lowers, point[0]) - 1
+            if i >= 0:
+                return self._affine(pieces[i], j, point)
         for row in pieces:
             d_cell = row[0]
             lo, hi = d_cell.lower(self.base), d_cell.upper(self.base)
             if all(a <= p < b for a, p, b in zip(lo, point, hi)):
                 return self._affine(row, j, point)
-        raise ValueError(f"point {point} not covered at coordinate {j}")
+        raise NotPartitionError(f"point {point} not covered at coordinate {j}")
 
     def _affine(self, row, j, point):
         d_cell, jn, n_cell = row

@@ -1,0 +1,124 @@
+"""Hostile and unsupported inputs end in typed errors, and every memo of
+the package is bounded."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import operad_groups as og
+from operad_groups.cli import main
+from helpers import TREE2, TREE3
+
+SWAP = "(. .) | p[1,0] ; (. .)"
+
+
+def run(capsys, *argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def assert_typed_exit(capsys, code, *argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {code}:"), err
+
+
+def bad_deep_tree(levels):
+    """A tree literal `levels` deep whose innermost node has three children."""
+    return "(" * levels + "(. . .)" + " .)" * levels
+
+
+def good_deep_tree(levels):
+    """A valid binary comb `levels + 1` deep."""
+    return "(" * levels + "(. .)" + " .)" * levels
+
+
+class TestTypedErrors:
+    def test_deep_malformed_literal(self, capsys):
+        lit = bad_deep_tree(1200)
+        assert_typed_exit(capsys, "E_PARSE", "elem", "order", f"{lit} | {lit}")
+
+    def test_deep_valid_literal(self, capsys):
+        lit = good_deep_tree(1200)
+        assert_typed_exit(capsys, "E_PARSE", "elem", "order", f"{lit} | {lit}")
+
+    def test_deep_cut_tree(self, capsys):
+        lit = "[0 " * 1200 + "." + " .]" * 1200
+        assert_typed_exit(capsys, "E_PARSE", "--backend", "cube:d=1", "elem", "inv", f"{lit} | {lit}")
+
+    def test_literals_up_to_the_depth_cap_still_parse(self):
+        levels = og.MAX_CELL_DEPTH - 1
+        op = og.parse_operation(good_deep_tree(levels), TREE2)
+        assert max(c.exps[0] for c in op.cells) == og.MAX_CELL_DEPTH
+        assert og.format_operation(op) == good_deep_tree(levels)
+        with pytest.raises(og.ParseError):
+            og.parse_operation(good_deep_tree(levels + 1), TREE2)
+
+    def test_planar_torsion_certificate(self, capsys):
+        assert_typed_exit(capsys, "E_FLAVOR", "--flavor", "planar", "cert", "torsion")
+
+    def test_planar_unordered_marking(self, capsys):
+        assert_typed_exit(
+            capsys,
+            "E_FLAVOR",
+            "--flavor",
+            "planar",
+            "act",
+            "(. .) | (. .)",
+            "((. .) .) @ m[0:a 1:b 2:a]",
+        )
+
+    def test_planar_permutation(self, capsys):
+        assert_typed_exit(capsys, "E_FLAVOR", "--flavor", "planar", "elem", "inv", SWAP)
+
+    def test_pingpong_refuses_wider_trees(self, capsys):
+        assert_typed_exit(
+            capsys, "E_UNSUPPORTED_BACKEND", "--backend", "tree:k=3", "cert", "pingpong", "--depth", "1"
+        )
+        with pytest.raises(og.UnsupportedBackendError):
+            og.pingpong_check(TREE3, 1)
+
+    def test_uncovered_point_is_a_typed_error(self):
+        from operad_groups.spans import _PieceIndex
+
+        index = _PieceIndex(og.parse_span(SWAP, TREE2))
+        with pytest.raises(og.NotPartitionError):
+            index.image(1, (0,))
+
+    def test_malformed_numbers_are_parse_errors(self, capsys):
+        assert_typed_exit(capsys, "E_PARSE", "elem", "inv", "(. .) | p[1 0] ; (. .)")
+        with pytest.raises(og.ParseError):
+            og.parse_box("b(1 2:0)")
+
+
+class TestExponentCap:
+    def test_huge_exponent_is_refused_before_arithmetic(self, capsys):
+        assert_typed_exit(
+            capsys, "E_PARSE", "--backend", "cube:d=1", "elem", "order", "{b(3000000:0),b(0:0)} | ."
+        )
+
+    def test_cap_is_on_the_total_cut_depth(self):
+        cap = og.MAX_CELL_DEPTH
+        assert og.parse_box(f"b({cap}:0)") == og.Box((cap,), (0,))
+        with pytest.raises(og.ParseError):
+            og.parse_box(f"b({cap + 1}:0)")
+        with pytest.raises(og.ParseError):
+            og.parse_box(f"b({cap}:0,1:0)")
+
+
+class TestMemos:
+    def test_every_memo_is_bounded(self):
+        memos = {}
+        for info in pkgutil.iter_modules(og.__path__):
+            if info.name == "__main__":
+                continue  # running it is the command line
+            module = importlib.import_module(f"operad_groups.{info.name}")
+            for name, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)):
+                    memos[f"{info.name}.{name}"] = value.cache_info().maxsize
+        assert "backend.op_common_refinement" in memos
+        assert "category.square_fill" in memos
+        unbounded = [name for name, size in memos.items() if size is None]
+        assert not unbounded
