@@ -39,8 +39,14 @@ DYADIC_CUBE = "dyadic_cube"
 # recursion limit and no literal can ask for a huge base**exponent.
 MAX_CELL_DEPTH = 256
 
+# The largest k of a tree backend and d of a cube backend, so that no backend
+# name buys unbounded time: a single tree split has arity k and validating an
+# operation is quadratic in its arity, and cube enumerations range over all
+# d axes.
+MAX_BACKEND_SIZE = 64
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BackendConfig:
     """Choice of operad: kary_tree(k) or dyadic_cube(d), planar or symmetric."""
 
@@ -57,6 +63,8 @@ class BackendConfig:
             raise ParseError("kary_tree needs k >= 2")
         if self.kind == DYADIC_CUBE and self.size < 1:
             raise ParseError("dyadic_cube needs d >= 1")
+        if self.size > MAX_BACKEND_SIZE:
+            raise ParseError(f"backend size {self.size} exceeds the cap {MAX_BACKEND_SIZE}")
         if self.kind == DYADIC_CUBE and self.size >= 2 and self.flavor != SYMMETRIC:
             raise ParseError("dyadic_cube with d >= 2 requires the symmetric flavor")
 
@@ -95,10 +103,19 @@ def parse_backend(text: str, flavor: str = SYMMETRIC) -> BackendConfig:
     if not m:
         raise ParseError(f"bad backend name: {text!r} (expected tree:k=N or cube:d=N)")
     kind = KARY_TREE if m.group(1).startswith("tree") else DYADIC_CUBE
-    return BackendConfig(kind, int(m.group(2)), flavor)
+    return BackendConfig(kind, _parse_int(m.group(2), "backend size"), flavor)
 
 
-@dataclass(frozen=True)
+def _parse_int(digits: str, what: str) -> int:
+    """``int`` of a parsed digit run, with every failure (among them a run
+    past the interpreter's digit limit) a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"bad {what}: {digits[:20]!r}") from None
+
+
+@dataclass(frozen=True, slots=True)
 class Box:
     """Standard cell: per axis i the interval [offs[i]/b^exps[i], (offs[i]+1)/b^exps[i])."""
 
@@ -150,19 +167,28 @@ class Box:
         return True
 
     def meet(self, other: "Box", base: int) -> "Box | None":
-        """Intersection; standard cells are laminar per axis, so this is a cell or empty."""
-        exps, offs = [], []
+        """Intersection; standard cells are laminar per axis, so this is a
+        cell or empty.  An operand inside the other is returned itself."""
+        self_finer = other_finer = False
         for e1, a1, e2, a2 in zip(self.exps, self.offs, other.exps, other.offs):
-            if e1 <= e2:
+            if e1 < e2:
                 if a2 // base ** (e2 - e1) != a1:
                     return None
-                exps.append(e2)
-                offs.append(a2)
-            else:
+                other_finer = True
+            elif e1 > e2:
                 if a1 // base ** (e1 - e2) != a2:
                     return None
-                exps.append(e1)
-                offs.append(a1)
+                self_finer = True
+            elif a1 != a2:
+                return None
+        if not self_finer:
+            return other
+        if not other_finer:
+            return self
+        exps, offs = [], []
+        for e1, a1, e2, a2 in zip(self.exps, self.offs, other.exps, other.offs):
+            exps.append(max(e1, e2))
+            offs.append(a1 if e1 > e2 else a2)
         return Box(tuple(exps), tuple(offs))
 
     def inside(self, outer: "Box", base: int) -> "Box":
@@ -207,11 +233,28 @@ def parse_box(text: str) -> Box:
     return Box(tuple(exps), tuple(offs))
 
 
+def _cell_keys(cells, base: int) -> list:
+    """Integer sort keys ordering cells as ``Box.sort_key`` does: the lower
+    corner scaled to the finest exponent of each axis, then the exponents."""
+    finest = [max(axis) for axis in zip(*(c.exps for c in cells))]
+    return [
+        (tuple(a * base ** (f - e) for a, e, f in zip(c.offs, c.exps, finest)), c.exps)
+        for c in cells
+    ]
+
+
+def _sorted_order(cells, base: int) -> list[int]:
+    """Positions of ``cells`` listed in lexicographic cell order."""
+    keys = _cell_keys(cells, base)
+    return sorted(range(len(cells)), key=keys.__getitem__)
+
+
 def _sorted_cells(cells, base: int):
-    return tuple(sorted(cells, key=lambda c: c.sort_key(base)))
+    cells = tuple(cells)
+    return tuple(cells[i] for i in _sorted_order(cells, base))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One operad operation: an ordered cell partition of the unit cube.
 
@@ -224,7 +267,9 @@ class Operation:
     cells: tuple[Box, ...]
 
     def __post_init__(self):
-        _validate_cells(self.config, self.cells)
+        # the memo hands back the first equal cell tuple it saw, so equal
+        # operations share their cells
+        object.__setattr__(self, "cells", _validate_cells(self.config, self.cells))
 
     @property
     def arity(self) -> int:
@@ -242,7 +287,7 @@ class Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def _validate_cells(cfg: BackendConfig, cells) -> None:
+def _validate_cells(cfg: BackendConfig, cells) -> tuple:
     # memoized: the same operation is rebuilt constantly by composition
     base, dim = cfg.base, cfg.dim
     if not cells:
@@ -264,6 +309,7 @@ def _validate_cells(cfg: BackendConfig, cells) -> None:
         _check_kary(cells, Box.whole(1), base)
     else:
         _check_guillotine(cells, Box.whole(dim), dim)
+    return cells
 
 
 def _check_kary(cells, box, k):
@@ -325,18 +371,25 @@ def op_subst(outer: Operation, inners) -> Operation:
     """Substitute one operation into every input slot of ``outer``.
 
     Cell order is the grafting order: outer's slots in sequence, each
-    expanded to the transported cells of its inner operation.
+    expanded to the transported cells of its inner operation.  Under the
+    unit laws the result is an operand itself: the sole inner operation when
+    ``outer`` is the identity, ``outer`` when every inner one is.
     """
     inners = tuple(inners)
     if len(inners) != outer.arity:
         raise SizeMismatchError(
             f"{len(inners)} operations substituted into arity {outer.arity}"
         )
+    for inner in inners:
+        if inner.config != outer.config:
+            raise BaseMismatchError("substitution across different backends")
+    if outer.arity == 1:
+        return inners[0]
+    if all(inner.arity == 1 for inner in inners):
+        return outer
     base = outer.config.base
     cells = []
     for slot_cell, inner in zip(outer.cells, inners):
-        if inner.config != outer.config:
-            raise BaseMismatchError("substitution across different backends")
         cells.extend(c.inside(slot_cell, base) for c in inner.cells)
     return Operation(outer.config, tuple(cells))
 
@@ -363,13 +416,14 @@ def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
 def op_sorted_with_rank(op: Operation) -> tuple[Operation, Permutation]:
     """Lexicographically sorted copy plus the rank permutation sending each
     stored cell position to its sorted position."""
-    base = op.config.base
-    keys = [c.sort_key(base) for c in op.cells]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    imgs = [0] * len(keys)
+    order = _sorted_order(op.cells, op.config.base)
+    imgs = [0] * len(order)
     for rank, i in enumerate(order):
         imgs[i] = rank
-    return Operation(op.config, _sorted_cells(op.cells, base)), Permutation(tuple(imgs))
+    rank = Permutation(tuple(imgs))
+    if rank.is_identity():
+        return op, rank
+    return Operation(op.config, tuple(op.cells[i] for i in order)), rank
 
 
 @functools.lru_cache(maxsize=8192)
@@ -382,22 +436,36 @@ def op_common_refinement(p: Operation, q: Operation):
     """
     if p.config != q.config:
         raise BaseMismatchError("refinement across different backends")
-    base = p.config.base
-    met = (c1.meet(c2, base) for c1 in p.cells for c2 in q.cells)
-    r_cells = _sorted_cells((m for m in met if m is not None), base)
-    r = Operation(p.config, r_cells)
-    position = {cell: i for i, cell in enumerate(r_cells)}
+    config = p.config
+    base = config.base
+    met, parents = [], []
+    for i, c1 in enumerate(p.cells):
+        for j, c2 in enumerate(q.cells):
+            m = c1.meet(c2, base)
+            if m is not None:
+                met.append(m)
+                parents.append((i, j))
+    order = _sorted_order(met, base)
+    r = Operation(config, tuple(met[k] for k in order))
+    unit = op_identity(config)
 
-    def relative(op):
-        phi, imgs = [], []
-        for c in op.cells:
-            sub = [cell for cell in r_cells if c.contains(cell, base)]
-            phi.append(Operation(op.config, tuple(s.rescale_from(c, base) for s in sub)))
-            imgs.extend(position[s] for s in sub)
-        return tuple(phi), Permutation(tuple(imgs))
+    def relative(op, side):
+        # each cell of r lies in exactly one cell of op, its parent on this
+        # side; walking r in order lists every parent's sub-cells in order
+        subs = [[] for _ in op.cells]
+        for rank, k in enumerate(order):
+            subs[parents[k][side]].append(rank)
+        phi = []
+        for c, sub in zip(op.cells, subs):
+            if len(sub) == 1:
+                phi.append(unit)
+            else:
+                cells = tuple(r.cells[rank].rescale_from(c, base) for rank in sub)
+                phi.append(Operation(config, cells))
+        return tuple(phi), Permutation(tuple(rank for sub in subs for rank in sub))
 
-    phi_p, pi_p = relative(p)
-    phi_q, pi_q = relative(q)
+    phi_p, pi_p = relative(p, 0)
+    phi_q, pi_q = relative(q, 1)
     return r, phi_p, phi_q, pi_p, pi_q
 
 
@@ -523,7 +591,7 @@ def _compositions_up_to(bound: int, parts: int):
         yield from _compositions(total, parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutTree:
     """Witness for a cube operation: recursive midpoint halvings.
 
@@ -611,7 +679,7 @@ def parse_cut_tree(text: str) -> CutTree:
             high = rec()
             if next_token() != "]":
                 raise ParseError(f"unbalanced brackets in {text!r}")
-            return CutTree(int(axis_tok), low, high)
+            return CutTree(_parse_int(axis_tok, "cut axis"), low, high)
         raise ParseError(f"unexpected token {tok!r} in cut tree literal")
 
     tree = rec()

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     """Zappa-Szep normal form: apply ``perm``, then collapse by ``forest``.
 
@@ -180,31 +180,39 @@ def arrow_eq(a: Arrow, b: Arrow) -> bool:
 def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     """Canonical filling (b1, b2) of the cospan (a1, a2): the composites
     compose(b1, a1) and compose(b2, a2) agree, both being the identity
-    permutation over the coordinate-wise common refinement."""
+    permutation over the coordinate-wise common refinement.
+
+    Each filling is read off the refinement of each codomain coordinate j:
+    domain coordinate i of a leg sits in slot t of that leg's operation at
+    j, and input s of its filling operation phi_j[t] is the refinement cell
+    at rank pi_j(g + s), where g is the grafting position of phi_j[t].  The
+    composite sends that input to r_start[j] + pi_j(g + s) and is the
+    identity, so the filling's permutation is the inverse of that list.
+    """
     if a1.config != a2.config:
         raise CodomainMismatchError("cospan arrows from different backends")
     if a1.codomain_len != a2.codomain_len:
         raise CodomainMismatchError(
             f"codomain lengths {a1.codomain_len} and {a2.codomain_len} differ"
         )
-    phi1_blocks, phi2_blocks = [], []
-    for op1, op2 in zip(a1.forest, a2.forest):
-        _, phi_p, phi_q, _, _ = op_common_refinement(op1, op2)
-        phi1_blocks.append(phi_p)
-        phi2_blocks.append(phi_q)
+    refinements = [op_common_refinement(op1, op2) for op1, op2 in zip(a1.forest, a2.forest)]
+    r_starts = block_starts([r.arity for r, *_ in refinements])
 
-    def filling(a, phi_blocks):
+    def filling(a, side):
+        blocks = []  # per coordinate: (phi, pi, grafting starts of phi)
+        for refinement in refinements:
+            phi, pi = refinement[1 + side], refinement[3 + side]
+            blocks.append((phi, pi, block_starts([op.arity for op in phi])))
         starts = block_starts([op.arity for op in a.forest])
-        fills = []
+        fills, imgs = [], []
         for i in range(a.domain_len):
             j, t = locate_block(starts, a.perm(i))
-            fills.append(phi_blocks[j][t])
-        glued = compose(Arrow.from_forest(a.config, fills), a)
-        return Arrow(a.config, glued.perm.inverse(), tuple(fills))
+            phi, pi, graft = blocks[j]
+            fills.append(phi[t])
+            imgs.extend(r_starts[j] + pi(g) for g in range(graft[t], graft[t + 1]))
+        return Arrow(a.config, Permutation(tuple(imgs)).inverse(), tuple(fills))
 
-    b1 = filling(a1, phi1_blocks)
-    b2 = filling(a2, phi2_blocks)
-    return b1, b2
+    return filling(a1, 0), filling(a2, 1)
 
 
 def combine_fillings(f1, f2, cospan) -> tuple[Arrow, Arrow, Arrow, Arrow]:

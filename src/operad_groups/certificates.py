@@ -204,15 +204,12 @@ def _sampled_perms(rng: random.Random, degree: int, count: int):
     return perms
 
 
-def free_action_check(
-    config: BackendConfig,
-    max_perm_size: int,
-    max_depth: int,
-    samples: int = 2,
-    seed: int = 0,
-) -> Report:
-    """Post-composing a non-identity permutation always changes an arrow."""
-    _require_symmetric(config, "the free-action certificate")
+def _perm_sweep(config, max_perm_size, max_depth, samples, seed, fixed, link):
+    """One row per word length m in 2..max_perm_size, forest of m operations
+    within the generator budget, and non-identity sigma of degree m.  Each
+    forest gets the identity and ``samples`` random input permutations tau;
+    the row fails with the first arrow alpha = (tau, forest) for which
+    ``fixed(alpha, sigma)`` holds."""
     rng = random.Random(seed)
     rows = []
     for m in range(2, max_perm_size + 1):
@@ -225,21 +222,37 @@ def free_action_check(
             base_arrow = Arrow.from_forest(config, forest)
             variants = _sampled_perms(rng, base_arrow.domain_len, samples)
             for sigma in sigmas:
-                moved = None
+                bad = None
                 for tau in variants:
                     alpha = Arrow(config, tau, forest)
-                    composite = compose(alpha, perm_arrow(config, sigma))
-                    if arrow_eq(composite, alpha):
-                        moved = str(alpha)
+                    if fixed(alpha, sigma):
+                        bad = str(alpha)
                         break
                 rows.append(
                     {
-                        "instance": f"{sigma} after {base_arrow}",
-                        "ok": moved is None,
-                        "witness": moved or "",
+                        "instance": f"{sigma} {link} {base_arrow}",
+                        "ok": bad is None,
+                        "witness": bad or "",
                     }
                 )
-    return Report("free_action", tuple(rows))
+    return tuple(rows)
+
+
+def free_action_check(
+    config: BackendConfig,
+    max_perm_size: int,
+    max_depth: int,
+    samples: int = 2,
+    seed: int = 0,
+) -> Report:
+    """Post-composing a non-identity permutation always changes an arrow."""
+    _require_symmetric(config, "the free-action certificate")
+
+    def fixed(alpha, sigma):
+        return arrow_eq(compose(alpha, perm_arrow(config, sigma)), alpha)
+
+    rows = _perm_sweep(config, max_perm_size, max_depth, samples, seed, fixed, "after")
+    return Report("free_action", rows)
 
 
 def sigma_span_check(alpha: Arrow, sigma: Permutation) -> bool:
@@ -278,32 +291,8 @@ def sigma_span_report(
 ) -> Report:
     """Exhaustive run: non-trivial permutations never give trivial spans."""
     _require_symmetric(config, "the sigma-span certificate")
-    rng = random.Random(seed)
-    rows = []
-    for m in range(2, max_perm_size + 1):
-        sigmas = [
-            Permutation(p)
-            for p in itertools.permutations(range(m))
-            if p != tuple(range(m))
-        ]
-        for forest in forests_up_to(config, m, max_depth):
-            base_arrow = Arrow.from_forest(config, forest)
-            variants = _sampled_perms(rng, base_arrow.domain_len, samples)
-            for sigma in sigmas:
-                bad = None
-                for tau in variants:
-                    alpha = Arrow(config, tau, forest)
-                    if sigma_span_check(alpha, sigma):
-                        bad = str(alpha)
-                        break
-                rows.append(
-                    {
-                        "instance": f"{sigma} on {base_arrow}",
-                        "ok": bad is None,
-                        "witness": bad or "",
-                    }
-                )
-    return Report("sigma_span", tuple(rows))
+    rows = _perm_sweep(config, max_perm_size, max_depth, samples, seed, sigma_span_check, "on")
+    return Report("sigma_span", rows)
 
 
 def _padded_split(config: BackendConfig):

@@ -20,6 +20,7 @@ from .backend import (
     Box,
     KARY_TREE,
     PLANAR,
+    _parse_int,
     cell_operation,
     op_identity,
     realize,
@@ -50,7 +51,7 @@ def _relabel(values) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marking:
     """Partial symbol assignment; stored symbols are 0..k-1 by first occurrence."""
 
@@ -117,9 +118,10 @@ def parse_marking(text: str) -> Marking:
             idx, _, sym = chunk.partition(":")
             if not idx.isdigit() or not sym:
                 raise ParseError(f"bad marking entry: {chunk!r}")
-            if int(idx) in entries:
+            coord = _parse_int(idx, "marking coordinate")
+            if coord in entries:
                 raise ParseError(f"duplicate coordinate {idx} in marking")
-            entries[int(idx)] = None if sym == "-" else sym
+            entries[coord] = None if sym == "-" else sym
     if sorted(entries) != list(range(len(entries))):
         raise ParseError("marking must cover coordinates 0..n-1")
     return Marking(tuple(entries[i] for i in range(len(entries))))
@@ -153,7 +155,7 @@ def marking_subset(m1: Marking, m2: Marking) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedArrow:
     arrow: Arrow
     marking: Marking
@@ -211,7 +213,7 @@ def ma_subset(p: MarkedArrow, q: MarkedArrow) -> bool:
     return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemiPartitionClass:
     """Equivalence class of marked arrows over a base word.
 

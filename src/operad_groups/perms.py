@@ -8,12 +8,13 @@ A permutation on n points is stored as the tuple ``imgs`` with
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ParseError, SizeMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     imgs: tuple[int, ...]
 
@@ -72,9 +73,7 @@ def block_starts(sizes) -> list[int]:
 
 def locate_block(starts: list[int], pos: int) -> tuple[int, int]:
     """Return (block index, offset inside block) for a flat position."""
-    import bisect
-
-    j = bisect.bisect_right(starts, pos) - 1
+    j = bisect_right(starts, pos) - 1
     return j, pos - starts[j]
 
 

@@ -23,7 +23,7 @@ from .category import Arrow, arrow_eq, compose, realize, square_fill, tensor
 from .errors import BaseMismatchError, NotPartitionError, ParseError, SizeMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     den: Arrow
     num: Arrow

@@ -9,6 +9,7 @@ boxes.
 import itertools
 
 import operad_groups as og
+from operad_groups.perms import block_starts, locate_block
 
 TREE2 = og.BackendConfig.tree(2)
 TREE3 = og.BackendConfig.tree(3)
@@ -157,3 +158,21 @@ def is_transitive(bitrows):
             rest >>= 1
             j += 1
     return True
+
+
+def glued_square_fill(a1, a2):
+    """Reference square filling built the long way: each leg's fills are
+    glued onto it with a full ``compose``, and the filling's permutation is
+    the inverse of the glued composite's."""
+    blocks = [og.op_common_refinement(op1, op2)[1:3] for op1, op2 in zip(a1.forest, a2.forest)]
+
+    def filling(a, side):
+        starts = block_starts([op.arity for op in a.forest])
+        fills = []
+        for i in range(a.domain_len):
+            j, t = locate_block(starts, a.perm(i))
+            fills.append(blocks[j][side][t])
+        glued = og.compose(og.Arrow.from_forest(a.config, fills), a)
+        return og.Arrow(a.config, glued.perm.inverse(), tuple(fills))
+
+    return filling(a1, 0), filling(a2, 1)

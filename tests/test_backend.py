@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import operad_groups as og
+from operad_groups.backend import _cell_keys, op_sorted_with_rank
 from helpers import CUBE1, CUBE2, CUBE3, PINWHEEL, TREE2, TREE3, random_operation
 
 
@@ -34,6 +35,14 @@ class TestBox:
         quarter = og.Box((2,), (3,))
         assert half.meet(quarter, 2) == quarter
         assert quarter.meet(half, 2) == quarter
+
+    def test_meet_returns_an_operand_inside_the_other(self):
+        outer, inner = og.Box((1, 0), (1, 0)), og.Box((2, 1), (3, 1))
+        assert outer.meet(inner, 2) is inner
+        assert inner.meet(outer, 2) is inner
+        assert outer.meet(outer, 2) == outer
+        crossing = og.Box((0, 1), (0, 0)).meet(og.Box((1, 0), (1, 0)), 2)
+        assert crossing == og.Box((1, 1), (1, 0))
 
     def test_meet_of_disjoint_cells_is_empty(self):
         assert og.Box((1,), (0,)).meet(og.Box((1,), (1,)), 2) is None
@@ -189,6 +198,76 @@ class TestOperationAlgebra:
         cells = og.standard_cells(TREE2, 2)
         assert len(cells) == 7
         assert og.Box.whole(1) in cells
+
+    def test_subst_unit_laws(self):
+        for config in (TREE2, TREE3, CUBE1, CUBE2, CUBE3):
+            unit = og.op_identity(config)
+            for op in og.operations_up_to(config, 3):  # built without op_subst
+                assert og.op_subst(unit, (op,)) == op
+                assert og.op_subst(op, (unit,) * op.arity) == op
+        with pytest.raises(og.BaseMismatchError):
+            og.op_subst(og.op_identity(TREE2), (og.op_identity(TREE3),))
+        with pytest.raises(og.BaseMismatchError):
+            og.op_subst(og.op_generator(TREE2), (og.op_identity(TREE3),) * 2)
+
+
+CONFIGS = (TREE2, TREE3, CUBE1, CUBE2, CUBE3)
+
+
+class TestSortKeys:
+    def test_integer_keys_order_cells_as_fraction_keys(self):
+        rng = random.Random(22)
+        for config in CONFIGS:
+            base = config.base
+            for _ in range(40):
+                cells = list(random_operation(config, rng, rng.randrange(8)).cells)
+                cells += rng.sample(og.standard_cells(config, 2), 3)
+                rng.shuffle(cells)
+                keys = _cell_keys(cells, base)
+                for i in range(len(cells)):
+                    for j in range(len(cells)):
+                        ki, kj = cells[i].sort_key(base), cells[j].sort_key(base)
+                        assert (keys[i] < keys[j]) == (ki < kj)
+                        assert (keys[i] == keys[j]) == (ki == kj)
+
+    def test_sorted_copy_and_rank(self):
+        rng = random.Random(23)
+        for config in (CUBE2, CUBE3):
+            for _ in range(30):
+                op = random_operation(config, rng, rng.randrange(6))
+                cells = list(op.cells)
+                rng.shuffle(cells)
+                shuffled = og.Operation(config, tuple(cells))
+                sorted_op, rank = op_sorted_with_rank(shuffled)
+                by_fraction = sorted(cells, key=lambda c: c.sort_key(config.base))
+                assert sorted_op.cells == tuple(by_fraction)
+                assert all(sorted_op.cells[rank(i)] == c for i, c in enumerate(cells))
+
+
+class TestCommonRefinement:
+    def test_ranks_are_those_of_the_grafted_refinement(self):
+        rng = random.Random(24)
+        for config in CONFIGS:
+            for _ in range(40):
+                p = random_operation(config, rng, rng.randrange(6))
+                q = random_operation(config, rng, rng.randrange(6))
+                r, phi_p, phi_q, pi_p, pi_q = og.op_common_refinement(p, q)
+                for op, phi, pi in ((p, phi_p, pi_p), (q, phi_q, pi_q)):
+                    sorted_op, rank = op_sorted_with_rank(og.op_subst(op, phi))
+                    assert sorted_op == r
+                    assert pi == rank
+
+    def test_cells_come_from_both_sides(self):
+        rng = random.Random(25)
+        for config in CONFIGS:
+            base = config.base
+            for _ in range(20):
+                p = random_operation(config, rng, rng.randrange(6))
+                q = random_operation(config, rng, rng.randrange(6))
+                r = og.op_common_refinement(p, q)[0]
+                met = [c1.meet(c2, base) for c1 in p.cells for c2 in q.cells]
+                assert sorted(r.cells, key=lambda c: c.sort_key(base)) == list(r.cells)
+                assert set(r.cells) == {m for m in met if m is not None}
 
 
 class TestRealize:

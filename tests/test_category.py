@@ -5,7 +5,16 @@ import random
 import pytest
 
 import operad_groups as og
-from helpers import CUBE1, CUBE2, PLANAR2, TREE2, random_arrow
+from helpers import (
+    CUBE1,
+    CUBE2,
+    CUBE3,
+    PLANAR2,
+    TREE2,
+    TREE3,
+    glued_square_fill,
+    random_arrow,
+)
 
 
 def chain(config, rng, length=3):
@@ -141,15 +150,17 @@ class TestTensor:
 class TestSquareFill:
     def test_fills_complete_the_square(self):
         rng = random.Random(8)
-        for config in (TREE2, CUBE2):
-            for _ in range(40):
-                a1 = random_arrow(config, rng, coords=1, gens=rng.randrange(4))
-                a2 = random_arrow(config, rng, coords=1, gens=rng.randrange(4))
-                b1, b2 = og.square_fill(a1, a2)
-                assert b1.domain_len == b2.domain_len
-                assert b1.codomain_len == a1.domain_len
-                assert b2.codomain_len == a2.domain_len
-                assert og.arrow_eq(og.compose(b1, a1), og.compose(b2, a2))
+        for config in (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3):
+            for coords in (1, 2, 3):
+                for _ in range(40):
+                    a1 = random_arrow(config, rng, coords=coords, gens=rng.randrange(5))
+                    a2 = random_arrow(config, rng, coords=coords, gens=rng.randrange(5))
+                    b1, b2 = og.square_fill(a1, a2)
+                    assert b1.domain_len == b2.domain_len
+                    assert b1.codomain_len == a1.domain_len
+                    assert b2.codomain_len == a2.domain_len
+                    assert og.arrow_eq(og.compose(b1, a1), og.compose(b2, a2))
+                    assert (b1, b2) == glued_square_fill(a1, a2)
 
     def test_filling_an_arrow_against_itself_is_trivial(self):
         a = og.parse_arrow("p[1,0] ; (. .)", TREE2)

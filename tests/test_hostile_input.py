@@ -108,6 +108,46 @@ class TestExponentCap:
             og.parse_box(f"b({cap}:0,1:0)")
 
 
+HUGE = "9" * 5000  # past the interpreter's digit limit for int()
+
+
+class TestOversizedIntegers:
+    def test_backend_size(self, capsys):
+        assert_typed_exit(capsys, "E_PARSE", "--backend", f"tree:k={HUGE}", "cert", "torsion")
+        with pytest.raises(og.ParseError):
+            og.parse_backend(f"cube:d={HUGE}")
+
+    def test_cut_tree_axis(self, capsys):
+        lit = f"[{HUGE} . .]"
+        assert_typed_exit(capsys, "E_PARSE", "--backend", "cube:d=1", "elem", "inv", f"{lit} | .")
+        with pytest.raises(og.ParseError):
+            og.parse_cut_tree(lit)
+
+    def test_marking_coordinate(self, capsys):
+        assert_typed_exit(capsys, "E_PARSE", "act", SWAP, f"(. .) @ m[{HUGE}:a 1:b]")
+        with pytest.raises(og.ParseError):
+            og.parse_marking(f"m[0:a {HUGE}:b]")
+
+    def test_marking_coordinate_that_int_cannot_read(self):
+        # str.isdigit accepts superscript digits that int() refuses
+        with pytest.raises(og.ParseError):
+            og.parse_marking("m[²:a]")
+
+
+class TestBackendSizeCap:
+    def test_sizes_up_to_the_cap_are_accepted(self):
+        cap = og.MAX_BACKEND_SIZE
+        assert og.parse_backend(f"tree:k={cap}") == og.BackendConfig.tree(cap)
+        assert og.parse_backend(f"cube:d={cap}") == og.BackendConfig.cube(cap)
+
+    def test_larger_sizes_are_refused(self, capsys):
+        cap = og.MAX_BACKEND_SIZE
+        assert_typed_exit(capsys, "E_PARSE", "--backend", f"tree:k={cap + 1}", "cert", "torsion")
+        assert_typed_exit(capsys, "E_PARSE", "--backend", f"cube:d={cap + 1}", "cert", "torsion")
+        with pytest.raises(og.ParseError):
+            og.BackendConfig.tree(cap + 1)
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}
