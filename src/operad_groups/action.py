@@ -139,6 +139,13 @@ def decompose(g: Span, W: StabilizerWitness):
     Forces both legs through the witness arrow, checks that every domain
     coordinate feeds the same symbol block on both sides, block-aligns by
     a gathering permutation, and slices.
+
+    One filling suffices.  A further round would compose one arrow s before
+    both z_pre and z_post, so a domain coordinate of either composite feeds
+    the block of the coordinate that s sends it to.  Every codomain
+    coordinate of s is the output of an operation with at least one input,
+    so each coordinate of z_pre's domain is reached: one whose blocks differ
+    keeps differing in every preimage, and the round could only fail again.
     """
     if g.config != W.config or g.base_len != W.base_arrow.codomain_len:
         raise BaseMismatchError("span and witness live over different bases")
@@ -146,18 +153,10 @@ def decompose(g: Span, W: StabilizerWitness):
     word_starts = block_starts(W.subwords)
     z_pre, z_post = _force_through(g, alpha)
     blocks_pre = _block_of_coords(z_pre, word_starts)
-    blocks_post = _block_of_coords(z_post, word_starts)
-    if blocks_pre != blocks_post:
-        # one extra refinement round in case the first filling misaligned
-        s1, _ = square_fill(compose(z_pre, alpha), compose(z_post, alpha))
-        z_pre = compose(s1, z_pre)
-        z_post = compose(s1, z_post)
-        blocks_pre = _block_of_coords(z_pre, word_starts)
-        blocks_post = _block_of_coords(z_post, word_starts)
-        if blocks_pre != blocks_post:
-            raise NotInStabilizerError(
-                "element moves a marked block, no componentwise splitting"
-            )
+    if blocks_pre != _block_of_coords(z_post, word_starts):
+        raise NotInStabilizerError(
+            "element moves a marked block, no componentwise splitting"
+        )
     order = sorted(range(z_pre.domain_len), key=lambda t: (blocks_pre[t], z_pre.perm(t)))
     gather = perm_arrow(g.config, Permutation(tuple(order)))
     zp = compose(gather, z_pre)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -261,15 +261,20 @@ class Operation:
     Trees demand left-to-right cell order (the planar tree is recoverable);
     cube patterns keep their sequence as given, so two orderings of the
     same cells are distinct operations related by an input permutation.
+    ``canonical`` records whether the cells are in lexicographic order: it
+    is true for every tree operation and plays no part in equality.
     """
 
     config: BackendConfig
     cells: tuple[Box, ...]
+    canonical: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the memo hands back the first equal cell tuple it saw, so equal
         # operations share their cells
-        object.__setattr__(self, "cells", _validate_cells(self.config, self.cells))
+        cells, canonical = _validate_cells(self.config, self.cells)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "canonical", canonical)
 
     @property
     def arity(self) -> int:
@@ -287,7 +292,15 @@ class Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def _validate_cells(cfg: BackendConfig, cells) -> tuple:
+def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
+    """The cells, and whether they are in lexicographic order, once the
+    recursive check of ``cfg`` has proved that they tile the unit cube.
+
+    The recursive checks are complete on their own: every leaf equals its
+    box and no branch or half is empty.  The volume sum and the overlap
+    scan run only on a rejected pattern, so that its error names the
+    first fault in the order volume, overlap, cell order, cut structure.
+    """
     # memoized: the same operation is rebuilt constantly by composition
     base, dim = cfg.base, cfg.dim
     if not cells:
@@ -297,19 +310,29 @@ def _validate_cells(cfg: BackendConfig, cells) -> tuple:
             raise NotPartitionError(f"cell {c} has dimension {c.dim}, expected {dim}")
         if not c.in_range(base):
             raise NotPartitionError(f"cell {c} lies outside the unit cube")
+    canonical = cells == _sorted_cells(cells, base)
+    try:
+        if cfg.kind == KARY_TREE:
+            if not canonical:
+                raise NotPartitionError("tree cells must be listed left to right")
+            _check_kary(cells, Box.whole(1), base)
+        else:
+            _check_guillotine(cells, Box.whole(dim), dim)
+    except (NotPartitionError, NotGuillotineError):
+        _check_volume_and_overlap(cells, base)
+        raise
+    return cells, canonical
+
+
+def _check_volume_and_overlap(cells, base):
+    """Name the fault of in-range cells that do not tile the unit cube: a
+    total volume other than 1, else the first overlapping pair."""
     if sum(c.volume(base) for c in cells) != 1:
         raise NotPartitionError("cells do not have total volume 1")
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             if cells[i].meet(cells[j], base) is not None:
                 raise NotPartitionError(f"cells {cells[i]} and {cells[j]} overlap")
-    if cfg.kind == KARY_TREE:
-        if cells != _sorted_cells(cells, base):
-            raise NotPartitionError("tree cells must be listed left to right")
-        _check_kary(cells, Box.whole(1), base)
-    else:
-        _check_guillotine(cells, Box.whole(dim), dim)
-    return cells
 
 
 def _check_kary(cells, box, k):
@@ -331,9 +354,13 @@ def _check_kary(cells, box, k):
 
 
 def _check_guillotine(cells, box, dim):
-    """Cells must be separable by recursive midpoint hyperplane cuts."""
-    if len(cells) <= 1:
+    """Cells must arise from ``box`` by recursive midpoint hyperplane cuts."""
+    if len(cells) == 1:
+        if cells[0] != box:
+            raise NotPartitionError(f"stray cell {cells[0]} does not match its half")
         return
+    if not cells:
+        raise NotPartitionError("a half of a midpoint cut is uncovered")
     for axis in range(dim):
         halves = ([], [])
         for c in cells:

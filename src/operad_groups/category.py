@@ -55,9 +55,10 @@ class Arrow:
     """Zappa-Szep normal form: apply ``perm``, then collapse by ``forest``.
 
     The constructor canonicalizes: any forest operation stored with cells
-    out of lexicographic order is sorted, and the correcting block
-    permutation is absorbed into ``perm``.  Planar arrows must come out
-    with the identity permutation; anything else is a construction bug.
+    out of lexicographic order (``op.canonical`` false) is sorted, and the
+    correcting block permutation is absorbed into ``perm``.  Planar arrows
+    must come out with the identity permutation; anything else is a
+    construction bug.
     """
 
     config: BackendConfig
@@ -65,28 +66,25 @@ class Arrow:
     forest: tuple[Operation, ...] = field(default=())
 
     def __post_init__(self):
-        canon, absorb = [], []
-        starts = block_starts([op.arity for op in self.forest])
+        arity = 0
         for op in self.forest:
             if op.config != self.config:
                 raise DomainMismatchError("forest operation from a different backend")
-            sorted_op, rank = op_sorted_with_rank(op)
-            canon.append(sorted_op)
-            absorb.append(rank)
-        if self.perm.degree != starts[-1]:
+            arity += op.arity
+        if self.perm.degree != arity:
             raise SizeMismatchError(
-                f"permutation degree {self.perm.degree} vs forest arity {starts[-1]}"
+                f"permutation degree {self.perm.degree} vs forest arity {arity}"
             )
-        if any(not r.is_identity() for r in absorb):
-            block = Permutation(
-                tuple(
-                    starts[j] + absorb[j](t)
-                    for j in range(len(self.forest))
-                    for t in range(self.forest[j].arity)
-                )
-            )
+        if not all(op.canonical for op in self.forest):
+            # sort each operation and absorb the rank corrections into perm
+            canon, imgs = [], []
+            for op in self.forest:
+                sorted_op, rank = op_sorted_with_rank(op)
+                canon.append(sorted_op)
+                start = len(imgs)
+                imgs.extend(start + v for v in rank.imgs)
             object.__setattr__(self, "forest", tuple(canon))
-            object.__setattr__(self, "perm", self.perm * block)
+            object.__setattr__(self, "perm", self.perm * Permutation(tuple(imgs)))
         if self.config.flavor == PLANAR and not self.perm.is_identity():
             raise FlavorError("planar arrows take the identity permutation")
 

@@ -33,7 +33,7 @@ from .markings import SemiPartitionClass, ball_at, class_subset, is_ball, sp_cla
 from .perms import Permutation
 from .poset import is_split
 from .report import Report
-from .spans import Span, format_span, sp_is_identity, sp_mul, sp_order
+from .spans import Span, check_exponent, format_span, sp_is_identity, sp_mul, sp_order
 from .action import act
 
 
@@ -179,6 +179,7 @@ def make_infinite_element(config: BackendConfig) -> Span:
 
 
 def infinite_order_check(config: BackendConfig, max_n: int) -> Report:
+    check_exponent(max_n, "power bound")
     g = make_infinite_element(config)
     rows = []
     power = g
@@ -220,6 +221,7 @@ def _perm_sweep(config, max_perm_size, max_depth, samples, seed, fixed, link):
         ]
         for forest in forests_up_to(config, m, max_depth):
             base_arrow = Arrow.from_forest(config, forest)
+            shown = str(base_arrow)
             variants = _sampled_perms(rng, base_arrow.domain_len, samples)
             for sigma in sigmas:
                 bad = None
@@ -230,7 +232,7 @@ def _perm_sweep(config, max_perm_size, max_depth, samples, seed, fixed, link):
                         break
                 rows.append(
                     {
-                        "instance": f"{sigma} {link} {base_arrow}",
+                        "instance": f"{sigma} {link} {shown}",
                         "ok": bad is None,
                         "witness": bad or "",
                     }
@@ -337,6 +339,7 @@ def make_padded_infinite(config: BackendConfig) -> Span:
 
 def padded_certificates_check(config: BackendConfig, max_n: int = 16) -> Report:
     """Order and nontriviality post-conditions for wide-split variants."""
+    check_exponent(max_n, "power bound")
     rows = [
         {
             "instance": "padded gamma1 order",

@@ -24,7 +24,7 @@ from .certificates import (
     pingpong_check,
     sigma_span_report,
 )
-from .errors import OperadError
+from .errors import OperadError, ParseError
 from .markings import SemiPartitionClass, parse_marked_arrow
 from .poset import check_filtered, enumerate_pn
 from .report import Report
@@ -180,8 +180,16 @@ def _cmd_cert(args, config) -> int:
     raise OperadError(f"unknown cert subcommand {args.cert_cmd!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument list as a typed parse error; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {ParseError(message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="operad-groups",
         description="Fraction-group arithmetic over tree and cube subdivisions.",
     )

@@ -46,7 +46,7 @@ class Permutation:
         return Permutation(tuple(out))
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.imgs))
+        return self.imgs == tuple(range(len(self.imgs)))
 
     def permute(self, items):
         """Scatter ``items`` so that entry i lands in position sigma(i)."""

@@ -22,6 +22,18 @@ from .backend import BackendConfig
 from .category import Arrow, arrow_eq, compose, realize, square_fill, tensor
 from .errors import BaseMismatchError, NotPartitionError, ParseError, SizeMismatchError
 
+# The largest exponent a power or an order search may ask for.  Each step is
+# one product, and the representatives of an infinite-order element grow
+# with every step (the shift's 256th power takes seconds), so no count on the
+# command line buys unbounded time.
+MAX_EXPONENT = 256
+
+
+def check_exponent(n: int, what: str) -> None:
+    """Refuse an exponent or exponent bound past MAX_EXPONENT."""
+    if abs(n) > MAX_EXPONENT:
+        raise ParseError(f"{what} {n} exceeds the cap {MAX_EXPONENT}")
+
 
 @dataclass(frozen=True, slots=True)
 class Span:
@@ -92,6 +104,7 @@ def sp_is_identity(g: Span) -> bool:
 
 
 def sp_pow(g: Span, n: int) -> Span:
+    check_exponent(n, "exponent")
     if n < 0:
         return sp_pow(sp_inv(g), -n)
     acc = sp_identity(g.config, g.base_len)
@@ -102,6 +115,7 @@ def sp_pow(g: Span, n: int) -> Span:
 
 def sp_order(g: Span, max_n: int) -> int | None:
     """Least exponent up to the bound killing g, if any."""
+    check_exponent(max_n, "order bound")
     acc = sp_identity(g.config, g.base_len)
     for n in range(1, max_n + 1):
         acc = sp_mul(acc, g)

@@ -176,3 +176,102 @@ def glued_square_fill(a1, a2):
         return og.Arrow(a.config, glued.perm.inverse(), tuple(fills))
 
     return filling(a1, 0), filling(a2, 1)
+
+
+def reference_validate(config, cells):
+    """Reference validation of a cell sequence, in the order the kernel
+    once ran every check: per-cell dimension and range, total volume,
+    pairwise overlap, left-to-right order (trees), then the recursive
+    k-fold split (trees) or midpoint cuts (cubes), which on a genuine
+    partition needs no leaf or empty-half test.  Returns the cells or
+    raises the kernel's error, message included."""
+    base, dim = config.base, config.dim
+    if not cells:
+        raise og.NotPartitionError("an operation needs at least one cell")
+    for c in cells:
+        if c.dim != dim:
+            raise og.NotPartitionError(f"cell {c} has dimension {c.dim}, expected {dim}")
+        if not c.in_range(base):
+            raise og.NotPartitionError(f"cell {c} lies outside the unit cube")
+    if sum(c.volume(base) for c in cells) != 1:
+        raise og.NotPartitionError("cells do not have total volume 1")
+    for i, a in enumerate(cells):
+        for b in cells[i + 1 :]:
+            if a.meet(b, base) is not None:
+                raise og.NotPartitionError(f"cells {a} and {b} overlap")
+    if config.kind == og.KARY_TREE:
+        if list(cells) != sorted(cells, key=lambda c: c.sort_key(base)):
+            raise og.NotPartitionError("tree cells must be listed left to right")
+        _reference_kary(cells, og.Box.whole(1), base)
+    else:
+        _reference_guillotine(cells, og.Box.whole(dim), dim)
+    return cells
+
+
+def _reference_kary(cells, box, k):
+    if len(cells) == 1:
+        if cells[0] != box:
+            raise og.NotPartitionError(f"stray cell {cells[0]} does not match its branch")
+        return
+    groups = [[] for _ in range(k)]
+    for c in cells:
+        if c.exps[0] <= box.exps[0]:
+            raise og.NotPartitionError(f"cell {c} does not refine the k-fold split")
+        groups[c.offs[0] // k ** (c.exps[0] - box.exps[0] - 1) % k].append(c)
+    for digit, group in enumerate(groups):
+        if not group:
+            raise og.NotPartitionError("a branch of the k-fold split is uncovered")
+        _reference_kary(group, box.child(0, digit, k), k)
+
+
+def _reference_guillotine(cells, box, dim):
+    if len(cells) <= 1:
+        return
+    for axis in range(dim):
+        if all(c.exps[axis] > box.exps[axis] for c in cells):
+            for digit in (0, 1):
+                half = [
+                    c for c in cells
+                    if c.offs[axis] >> (c.exps[axis] - box.exps[axis] - 1) & 1 == digit
+                ]
+                _reference_guillotine(half, box.child(axis, digit, 2), dim)
+            return
+    raise og.NotGuillotineError("no axis midplane is free of crossing cells")
+
+
+def validation_outcome(validate, config, cells):
+    """The accepted cells, or the type and message of the refusal."""
+    try:
+        return tuple(validate(config, cells))
+    except og.OperadError as exc:
+        return type(exc), str(exc)
+
+
+def perturbed_patterns(config, rng, count):
+    """Cell sequences near genuine operations: shuffled, one cell dropped,
+    one cell duplicated, the whole box inserted, one cell moved out of
+    range, one cell moved within range (volume kept), and random standard
+    cells."""
+    whole = og.Box.whole(config.dim)
+    pool = og.standard_cells(config, 2)
+    for _ in range(count):
+        cells = list(random_operation(config, rng, rng.randrange(7)).cells)
+        kind = rng.randrange(8)
+        if kind == 1:
+            rng.shuffle(cells)
+        elif kind == 2 and len(cells) > 1:
+            del cells[rng.randrange(len(cells))]
+        elif kind == 3:
+            cells.insert(rng.randrange(len(cells) + 1), rng.choice(cells))
+        elif kind == 4:
+            cells.insert(rng.randrange(len(cells) + 1), whole)
+        elif kind in (5, 6):
+            i = rng.randrange(len(cells))
+            c, axis = cells[i], rng.randrange(config.dim)
+            offs = list(c.offs)
+            width = config.base ** c.exps[axis]
+            offs[axis] = width if kind == 5 else rng.randrange(width)
+            cells[i] = og.Box(c.exps, tuple(offs))
+        elif kind == 7:
+            cells = rng.sample(pool, rng.randint(1, 5))
+        yield tuple(cells)

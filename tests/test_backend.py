@@ -6,8 +6,19 @@ from fractions import Fraction
 import pytest
 
 import operad_groups as og
-from operad_groups.backend import _cell_keys, op_sorted_with_rank
-from helpers import CUBE1, CUBE2, CUBE3, PINWHEEL, TREE2, TREE3, random_operation
+from operad_groups.backend import _cell_keys, _sorted_cells, op_sorted_with_rank
+from helpers import (
+    CUBE1,
+    CUBE2,
+    CUBE3,
+    PINWHEEL,
+    TREE2,
+    TREE3,
+    perturbed_patterns,
+    random_operation,
+    reference_validate,
+    validation_outcome,
+)
 
 
 class TestBox:
@@ -141,6 +152,56 @@ class TestOperationValidation:
             cells = list(random_operation(CUBE2, rng, 5).cells)
             rng.shuffle(cells)
             og.op_validate_pattern(CUBE2, tuple(cells))  # must not raise
+
+    @pytest.mark.parametrize(
+        "config, cells",
+        [
+            # a missing quarter: the high half holds one quarter alone
+            (CUBE1, (og.Box((2,), (0,)), og.Box((2,), (1,)), og.Box((2,), (2,)))),
+            (CUBE2, (og.Box((1, 1), (0, 0)), og.Box((1, 1), (0, 1)), og.Box((1, 1), (1, 0)))),
+            # an empty half: every cell sits below the first midplane
+            (CUBE1, (og.Box((2,), (0,)), og.Box((2,), (1,)))),
+            (CUBE2, (og.Box((1, 1), (0, 0)), og.Box((1, 1), (0, 1)))),
+            # a stray leaf: one cell deep inside a half it should fill
+            (CUBE1, (og.Box((1,), (0,)), og.Box((3,), (4,)))),
+            (CUBE2, (og.Box((1, 0), (0, 0)), og.Box((2, 1), (2, 0)))),
+        ],
+    )
+    def test_cube_volume_shortfall(self, config, cells):
+        with pytest.raises(og.NotPartitionError) as exc:
+            og.Operation(config, cells)
+        assert str(exc.value) == "E_NOT_PARTITION: cells do not have total volume 1"
+        assert validation_outcome(reference_validate, config, cells) == (
+            og.NotPartitionError,
+            str(exc.value),
+        )
+
+    def test_outcomes_match_the_reference_validation(self):
+        rng = random.Random(31)
+        for config in CONFIGS:
+            patterns = list(perturbed_patterns(config, rng, 300))
+            if config == CUBE3:
+                patterns += [PINWHEEL, PINWHEEL[::-1], PINWHEEL[1:], PINWHEEL + PINWHEEL[:1]]
+            for cells in patterns:
+                got = validation_outcome(lambda c, xs: og.Operation(c, xs).cells, config, cells)
+                assert got == validation_outcome(reference_validate, config, cells), cells
+
+    def test_canonical_flag_is_lexicographic_order(self):
+        rng = random.Random(32)
+        for config in CONFIGS:
+            for cells in perturbed_patterns(config, rng, 200):
+                try:
+                    op = og.Operation(config, cells)
+                except og.OperadError:
+                    continue
+                assert op.canonical == (op.cells == _sorted_cells(op.cells, config.base))
+                if config.kind == og.KARY_TREE:
+                    assert op.canonical
+        halves = (og.Box((1,), (0,)), og.Box((1,), (1,)))
+        forward = og.Operation(CUBE1, halves)
+        backward = og.Operation(CUBE1, halves[::-1])
+        assert forward.canonical and not backward.canonical
+        assert "canonical" not in repr(backward)
 
 
 class TestOperationAlgebra:

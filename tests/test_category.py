@@ -1,6 +1,7 @@
 """Arrows in permutation-forest normal form and square filling."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,6 +54,24 @@ class TestArrowConstruction:
             (0, og.Box((1,), (1,))),
             (0, og.Box((1,), (0,))),
         )
+
+    def test_unsorted_cube_forests_end_canonical(self):
+        rng = random.Random(5)
+        for config in (CUBE1, CUBE2, CUBE3):
+            for _ in range(40):
+                arrow = random_arrow(config, rng, coords=rng.randint(1, 3), gens=rng.randrange(7))
+                shuffled = []
+                for op in arrow.forest:
+                    cells = list(op.cells)
+                    rng.shuffle(cells)
+                    shuffled.append(og.Operation(config, tuple(cells)))
+                # realize reads any (perm, forest) pair, sorted or not
+                raw = SimpleNamespace(perm=arrow.perm, forest=tuple(shuffled))
+                canon = og.Arrow(config, arrow.perm, tuple(shuffled))
+                for op in canon.forest:
+                    assert op.canonical
+                    assert list(op.cells) == sorted(op.cells, key=lambda c: c.sort_key(2))
+                assert og.realize(canon) == og.realize(raw)
 
     def test_planar_arrows_reject_nontrivial_permutations(self):
         with pytest.raises(ValueError):

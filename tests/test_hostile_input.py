@@ -108,6 +108,63 @@ class TestExponentCap:
             og.parse_box(f"b({cap}:0,1:0)")
 
 
+class TestPowerCap:
+    def test_powers_up_to_the_cap(self, capsys):
+        cap = og.MAX_EXPONENT
+        g = og.parse_span(SWAP, TREE2)
+        assert og.sp_is_identity(og.sp_pow(g, cap))
+        assert og.sp_is_identity(og.sp_pow(g, -cap))
+        assert og.sp_order(g, cap) == 2
+        rc, out, _ = run(capsys, "elem", "pow", SWAP, str(cap))
+        assert rc == 0 and out == "p[1,0] ; (. .) | p[1,0] ; (. .)\n"
+
+    def test_larger_exponents_are_refused(self, capsys):
+        cap = og.MAX_EXPONENT
+        g = og.parse_span(SWAP, TREE2)
+        for n in (cap + 1, -cap - 1):
+            with pytest.raises(og.ParseError):
+                og.sp_pow(g, n)
+        with pytest.raises(og.ParseError):
+            og.sp_order(g, cap + 1)
+        with pytest.raises(og.ParseError):
+            og.infinite_order_check(TREE2, cap + 1)
+        with pytest.raises(og.ParseError):
+            og.padded_certificates_check(TREE2, cap + 1)
+        assert_typed_exit(capsys, "E_PARSE", "elem", "pow", SWAP, "3000000")
+        assert_typed_exit(capsys, "E_PARSE", "elem", "order", SWAP, "--max", str(cap + 1))
+        assert_typed_exit(capsys, "E_PARSE", "cert", "infinite", "--max-n", str(cap + 1))
+        assert_typed_exit(capsys, "E_PARSE", "cert", "padded", "--max-n", str(cap + 1))
+
+
+class TestArgumentErrors:
+    def refused(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error: E_PARSE: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_bad_int(self, capsys):
+        err = self.refused(capsys, "elem", "pow", "(. .) | (. .)", "abc")
+        assert "argument n" in err and "'abc'" in err
+
+    def test_missing_argument(self, capsys):
+        err = self.refused(capsys, "elem", "pow")
+        assert "required" in err
+
+    def test_unknown_subcommand(self, capsys):
+        assert "'frobnicate'" in self.refused(capsys, "frobnicate")
+        assert "'frobnicate'" in self.refused(capsys, "cert", "frobnicate")
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["elem", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: operad-groups elem")
+
+
 HUGE = "9" * 5000  # past the interpreter's digit limit for int()
 
 
