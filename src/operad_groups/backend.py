@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import (
     BaseMismatchError,
+    DepthError,
     NotGuillotineError,
     NotPartitionError,
     ParseError,
@@ -33,10 +34,11 @@ SYMMETRIC = "symmetric"
 KARY_TREE = "kary_tree"
 DYADIC_CUBE = "dyadic_cube"
 
-# The most cuts a parsed literal may spend on one cell: it bounds the nesting
-# of tree and cut-tree literals and the total exponent of a box, so that the
-# recursive validators and formatters stay far from the interpreter's
-# recursion limit and no literal can ask for a huge base**exponent.
+# The most cuts one cell may take: it bounds the nesting of tree and
+# cut-tree literals, the total exponent of a parsed box, and every cell an
+# operation is built from, given or computed.  So the recursive validators
+# stay far from the interpreter's recursion limit, no literal can ask for a
+# huge base**exponent, and every printed result parses back.
 MAX_CELL_DEPTH = 256
 
 # The largest k of a tree backend and d of a cube backend, so that no backend
@@ -293,13 +295,15 @@ class Operation:
 
 @functools.lru_cache(maxsize=8192)
 def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
-    """The cells, and whether they are in lexicographic order, once the
-    recursive check of ``cfg`` has proved that they tile the unit cube.
+    """The cells, and whether they are in lexicographic order, once they are
+    known to tile the unit cube as ``cfg`` demands.
 
-    The recursive checks are complete on their own: every leaf equals its
-    box and no branch or half is empty.  The volume sum and the overlap
-    scan run only on a rejected pattern, so that its error names the
-    first fault in the order volume, overlap, cell order, cut structure.
+    Tree cells tile in order exactly when a walk down the k-ary tree meets
+    them left to right; cube cells must pass the recursive midpoint-cut
+    check, where every leaf equals its box and no half is empty.  Both
+    checks are complete on their own.  The volume sum and the overlap scan
+    run only on a rejected pattern, so that its error names the first fault
+    in the order volume, overlap, cell order, cut structure.
     """
     # memoized: the same operation is rebuilt constantly by composition
     base, dim = cfg.base, cfg.dim
@@ -308,20 +312,49 @@ def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
     for c in cells:
         if c.dim != dim:
             raise NotPartitionError(f"cell {c} has dimension {c.dim}, expected {dim}")
+        depth = sum(c.exps)  # checked first: in_range computes base**e
+        if depth > MAX_CELL_DEPTH and min(c.exps) >= 0:
+            raise DepthError(f"cell depth {depth} exceeds the cap {MAX_CELL_DEPTH}")
         if not c.in_range(base):
             raise NotPartitionError(f"cell {c} lies outside the unit cube")
+    if cfg.kind == KARY_TREE:
+        if not _tiles_in_order(cells, base):
+            _check_volume_and_overlap(cells, base)
+            # disjoint cells of total volume 1 tile the interval: out of order
+            raise NotPartitionError("tree cells must be listed left to right")
+        return cells, True
     canonical = cells == _sorted_cells(cells, base)
     try:
-        if cfg.kind == KARY_TREE:
-            if not canonical:
-                raise NotPartitionError("tree cells must be listed left to right")
-            _check_kary(cells, Box.whole(1), base)
-        else:
-            _check_guillotine(cells, Box.whole(dim), dim)
+        _check_guillotine(cells, Box.whole(dim), dim)
     except (NotPartitionError, NotGuillotineError):
         _check_volume_and_overlap(cells, base)
         raise
     return cells, canonical
+
+
+def _heap_index(cell: Box, k: int) -> int:
+    """The tree cell [a/k^e, (a+1)/k^e) as the integer k^e + a: the whole
+    interval is 1, the children of h are k*h + t, and a deeper cell has a
+    larger index."""
+    return k ** cell.exps[0] + cell.offs[0]
+
+
+def _tiles_in_order(cells, k: int) -> bool:
+    """Whether tree cells, as listed, are the leaves of a k-ary split of the
+    unit interval from left to right.  ``todo`` holds the heap indices of
+    the subtrees still to cover, the next one last; a cell must be the next
+    subtree or lie at its left end, which is then split."""
+    todo = [1]
+    for cell in cells:
+        if not todo:
+            return False
+        h, t = _heap_index(cell, k), todo.pop()
+        while t < h:
+            t *= k
+            todo.extend(range(t + k - 1, t, -1))
+        if t != h:
+            return False
+    return not todo
 
 
 def _check_volume_and_overlap(cells, base):
@@ -333,24 +366,6 @@ def _check_volume_and_overlap(cells, base):
         for j in range(i + 1, len(cells)):
             if cells[i].meet(cells[j], base) is not None:
                 raise NotPartitionError(f"cells {cells[i]} and {cells[j]} overlap")
-
-
-def _check_kary(cells, box, k):
-    """Cells must arise from ``box`` by recursive k-fold splitting."""
-    if len(cells) == 1:
-        if cells[0] != box:
-            raise NotPartitionError(f"stray cell {cells[0]} does not match its branch")
-        return
-    groups = [[] for _ in range(k)]
-    for c in cells:
-        if c.exps[0] <= box.exps[0]:
-            raise NotPartitionError(f"cell {c} does not refine the k-fold split")
-        digit = c.offs[0] // k ** (c.exps[0] - box.exps[0] - 1) % k
-        groups[digit].append(c)
-    for digit, group in enumerate(groups):
-        if not group:
-            raise NotPartitionError("a branch of the k-fold split is uncovered")
-        _check_kary(tuple(group), box.child(0, digit, k), k)
 
 
 def _check_guillotine(cells, box, dim):
@@ -443,14 +458,14 @@ def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
 def op_sorted_with_rank(op: Operation) -> tuple[Operation, Permutation]:
     """Lexicographically sorted copy plus the rank permutation sending each
     stored cell position to its sorted position."""
+    if op.canonical:
+        return op, Permutation.identity(op.arity)
     order = _sorted_order(op.cells, op.config.base)
     imgs = [0] * len(order)
     for rank, i in enumerate(order):
         imgs[i] = rank
-    rank = Permutation(tuple(imgs))
-    if rank.is_identity():
-        return op, rank
-    return Operation(op.config, tuple(op.cells[i] for i in order)), rank
+    sorted_op = Operation(op.config, tuple(op.cells[i] for i in order))
+    return sorted_op, Permutation._trusted(tuple(imgs))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -459,20 +474,26 @@ def op_common_refinement(p: Operation, q: Operation):
 
     Returns (r, phi_p, phi_q, pi_p, pi_q): substituting phi_p into p's slots
     lists r's cells in grafting order, and pi_p is the permutation from that
-    order to r's canonical (lexicographic) order; likewise for q.
+    order to r's canonical (lexicographic) order; likewise for q.  Trees
+    meet their cells in one left-to-right walk, which lists r in order, so
+    pi_p and pi_q are identities; cubes meet every pair of cells and sort.
     """
     if p.config != q.config:
         raise BaseMismatchError("refinement across different backends")
     config = p.config
     base = config.base
-    met, parents = [], []
-    for i, c1 in enumerate(p.cells):
-        for j, c2 in enumerate(q.cells):
-            m = c1.meet(c2, base)
-            if m is not None:
-                met.append(m)
-                parents.append((i, j))
-    order = _sorted_order(met, base)
+    if config.kind == KARY_TREE:
+        met, parents = _tree_meets(p.cells, q.cells, base)
+        order = range(len(met))
+    else:
+        met, parents = [], []
+        for i, c1 in enumerate(p.cells):
+            for j, c2 in enumerate(q.cells):
+                m = c1.meet(c2, base)
+                if m is not None:
+                    met.append(m)
+                    parents.append((i, j))
+        order = _sorted_order(met, base)
     r = Operation(config, tuple(met[k] for k in order))
     unit = op_identity(config)
 
@@ -489,11 +510,37 @@ def op_common_refinement(p: Operation, q: Operation):
             else:
                 cells = tuple(r.cells[rank].rescale_from(c, base) for rank in sub)
                 phi.append(Operation(config, cells))
-        return tuple(phi), Permutation(tuple(rank for sub in subs for rank in sub))
+        return tuple(phi), Permutation._trusted(tuple(rank for sub in subs for rank in sub))
 
     phi_p, pi_p = relative(p, 0)
     phi_q, pi_q = relative(q, 1)
     return r, phi_p, phi_q, pi_p, pi_q
+
+
+def _tree_meets(p_cells, q_cells, k: int):
+    """The meets of two tree partitions in left-to-right order, each with
+    the positions (i, j) of the cells it lies in.
+
+    The current cells of the two sides always overlap, so one contains the
+    other and the deeper one is their meet.  The walk advances the side
+    whose cell ends first, and both when the cells end together.
+    """
+    finest = max(c.exps[0] for c in p_cells + q_cells)
+    # right ends, scaled to the finest depth
+    end_p = [(c.offs[0] + 1) * k ** (finest - c.exps[0]) for c in p_cells]
+    end_q = [(c.offs[0] + 1) * k ** (finest - c.exps[0]) for c in q_cells]
+    met, parents = [], []
+    i = j = 0
+    while i < len(p_cells):
+        a, b = p_cells[i], q_cells[j]
+        met.append(a if a.exps[0] >= b.exps[0] else b)
+        parents.append((i, j))
+        end_a, end_b = end_p[i], end_q[j]
+        if end_a <= end_b:
+            i += 1
+        if end_b <= end_a:
+            j += 1
+    return met, parents
 
 
 def cell_operation(config: BackendConfig, box: Box) -> Operation:
@@ -751,19 +798,25 @@ def _parse_tree_literal(text: str, config: BackendConfig) -> Operation:
 
 
 def _format_tree(op: Operation) -> str:
+    """The tree literal, in one left-to-right walk over the cells' heap
+    indices: ``todo`` holds what is still to print, the next item last; an
+    index is a subtree, a string is printed as it is."""
     k = op.config.size
-
-    def rec(cells, box):
-        if len(cells) == 1 and cells[0] == box:
-            return "."
-        groups = [[] for _ in range(k)]
-        for c in cells:
-            digit = c.offs[0] // k ** (c.exps[0] - box.exps[0] - 1) % k
-            groups[digit].append(c)
-        inner = " ".join(rec(g, box.child(0, d, k)) for d, g in enumerate(groups))
-        return f"({inner})"
-
-    return rec(list(op.cells), Box.whole(1))
+    out, todo = [], [1]
+    for cell in op.cells:
+        h, t = _heap_index(cell, k), todo.pop()
+        while type(t) is str:
+            out.append(t)
+            t = todo.pop()
+        while t < h:  # the cell lies at the left end of t: split t
+            out.append("(")
+            t *= k
+            todo.append(")")
+            for sibling in range(t + k - 1, t, -1):
+                todo += (sibling, " ")
+        out.append(".")
+    out.extend(reversed(todo))
+    return "".join(out)
 
 
 def split_top_level(text: str, sep: str) -> list[str]:

@@ -66,16 +66,18 @@ class Arrow:
     forest: tuple[Operation, ...] = field(default=())
 
     def __post_init__(self):
-        arity = 0
+        config = self.config
+        arity, canonical = 0, True
         for op in self.forest:
-            if op.config != self.config:
+            if op.config is not config and op.config != config:
                 raise DomainMismatchError("forest operation from a different backend")
-            arity += op.arity
-        if self.perm.degree != arity:
+            arity += len(op.cells)
+            canonical = canonical and op.canonical
+        if len(self.perm.imgs) != arity:
             raise SizeMismatchError(
                 f"permutation degree {self.perm.degree} vs forest arity {arity}"
             )
-        if not all(op.canonical for op in self.forest):
+        if not canonical:
             # sort each operation and absorb the rank corrections into perm
             canon, imgs = [], []
             for op in self.forest:
@@ -84,7 +86,7 @@ class Arrow:
                 start = len(imgs)
                 imgs.extend(start + v for v in rank.imgs)
             object.__setattr__(self, "forest", tuple(canon))
-            object.__setattr__(self, "perm", self.perm * Permutation(tuple(imgs)))
+            object.__setattr__(self, "perm", self.perm * Permutation._trusted(tuple(imgs)))
         if self.config.flavor == PLANAR and not self.perm.is_identity():
             raise FlavorError("planar arrows take the identity permutation")
 
@@ -131,13 +133,11 @@ def push_perm(forest, tau: Permutation):
             f"forest of {len(forest)} operations under degree-{tau.degree} permutation"
         )
     forest_hat = tau.permute(forest)
-    old_starts = block_starts([op.arity for op in forest])
-    new_starts = block_starts([op.arity for op in forest_hat])
+    starts = block_starts([op.arity for op in forest_hat])
     imgs = []
-    for j, op in enumerate(forest):
-        for t in range(op.arity):
-            imgs.append(new_starts[tau(j)] + t)
-    return Permutation(tuple(imgs)), forest_hat
+    for j in tau.imgs:
+        imgs.extend(range(starts[j], starts[j + 1]))
+    return Permutation._trusted(tuple(imgs)), forest_hat
 
 
 def compose(a: Arrow, b: Arrow) -> Arrow:
@@ -164,7 +164,7 @@ def tensor(a: Arrow, *rest: Arrow) -> Arrow:
             raise DomainMismatchError("tensor across different backends")
         shift = a.domain_len
         imgs = a.perm.imgs + tuple(shift + v for v in b.perm.imgs)
-        a = Arrow(a.config, Permutation(imgs), a.forest + b.forest)
+        a = Arrow(a.config, Permutation._trusted(imgs), a.forest + b.forest)
     return a
 
 
@@ -180,10 +180,12 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     compose(b1, a1) and compose(b2, a2) agree, both being the identity
     permutation over the coordinate-wise common refinement.
 
-    Each filling is read off the refinement of each codomain coordinate j:
-    domain coordinate i of a leg sits in slot t of that leg's operation at
-    j, and input s of its filling operation phi_j[t] is the refinement cell
-    at rank pi_j(g + s), where g is the grafting position of phi_j[t].  The
+    Against an identity leg the filling is the unit law: the other leg's
+    inverse permutation and its forest.  Otherwise each filling is read
+    off the refinement of each codomain coordinate j: domain coordinate i
+    of a leg sits in slot t of that leg's operation at j, and input s of
+    its filling operation phi_j[t] is the refinement cell at rank
+    pi_j(g + s), where g is the grafting position of phi_j[t].  The
     composite sends that input to r_start[j] + pi_j(g + s) and is the
     identity, so the filling's permutation is the inverse of that list.
     """
@@ -193,6 +195,11 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
         raise CodomainMismatchError(
             f"codomain lengths {a1.codomain_len} and {a2.codomain_len} differ"
         )
+    config = a1.config
+    if a2.is_identity():
+        return perm_arrow(config, a1.perm.inverse()), Arrow.from_forest(config, a1.forest)
+    if a1.is_identity():
+        return Arrow.from_forest(config, a2.forest), perm_arrow(config, a2.perm.inverse())
     refinements = [op_common_refinement(op1, op2) for op1, op2 in zip(a1.forest, a2.forest)]
     r_starts = block_starts([r.arity for r, *_ in refinements])
 
@@ -208,7 +215,7 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
             phi, pi, graft = blocks[j]
             fills.append(phi[t])
             imgs.extend(r_starts[j] + pi(g) for g in range(graft[t], graft[t + 1]))
-        return Arrow(a.config, Permutation(tuple(imgs)).inverse(), tuple(fills))
+        return Arrow(config, Permutation._trusted(tuple(imgs)).inverse(), tuple(fills))
 
     return filling(a1, 0), filling(a2, 1)
 

@@ -34,6 +34,13 @@ class NotPartitionError(OperadError):
     code = "E_NOT_PARTITION"
 
 
+class DepthError(OperadError):
+    """A cell of an operation, given or computed, is cut more than
+    MAX_CELL_DEPTH times; a literal past the cap is a parse error."""
+
+    code = "E_DEPTH"
+
+
 class NotGuillotineError(OperadError):
     """A cell pattern admits no sequence of straight axis cuts."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .errors import ParseError, SizeMismatchError
@@ -23,8 +24,16 @@ class Permutation:
             raise ParseError(f"not a permutation of 0..{len(self.imgs) - 1}: {self.imgs}")
 
     @classmethod
+    def _trusted(cls, imgs: tuple[int, ...]) -> "Permutation":
+        """A permutation whose images the package derived from valid ones
+        (a product, an inverse, a rank or a block layout): no check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "imgs", imgs)
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
 
     @property
     def degree(self) -> int:
@@ -37,13 +46,13 @@ class Permutation:
         """Diagrammatic product: self first, then other."""
         if other.degree != self.degree:
             raise SizeMismatchError(f"degree {self.degree} vs {other.degree}")
-        return Permutation(tuple(other.imgs[v] for v in self.imgs))
+        return Permutation._trusted(tuple(map(other.imgs.__getitem__, self.imgs)))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.degree
         for i, v in enumerate(self.imgs):
             out[v] = i
-        return Permutation(tuple(out))
+        return Permutation._trusted(tuple(out))
 
     def is_identity(self) -> bool:
         return self.imgs == tuple(range(len(self.imgs)))
@@ -63,12 +72,7 @@ class Permutation:
 
 def block_starts(sizes) -> list[int]:
     """Cumulative offsets of consecutive blocks of the given sizes."""
-    starts, acc = [], 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    starts.append(acc)
-    return starts
+    return list(accumulate(sizes, initial=0))
 
 
 def locate_block(starts: list[int], pos: int) -> tuple[int, int]:

@@ -178,14 +178,13 @@ def enumerate_pn(
 def check_filtered(T: PosetTruncation) -> Report:
     """Upper-bound every pair of truncation elements via refine_to_n."""
     rows = []
-    for P, Q in itertools.combinations(T.elements, 2):
+    shown = [str(P.rep) for P in T.elements]
+    for (i, P), (j, Q) in itertools.combinations(enumerate(T.elements), 2):
         R = refine_to_n(P, Q, T.y, T.n)
         ok = (
             class_subset(R, P)
             and class_subset(R, Q)
             and n_condition(R, T.y, T.n)
         )
-        rows.append(
-            {"p": str(P.rep), "q": str(Q.rep), "upper_bound": str(R.rep), "ok": ok}
-        )
+        rows.append({"p": shown[i], "q": shown[j], "upper_bound": str(R.rep), "ok": ok})
     return Report("filtered", tuple(rows))

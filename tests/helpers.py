@@ -275,3 +275,52 @@ def perturbed_patterns(config, rng, count):
         elif kind == 7:
             cells = rng.sample(pool, rng.randint(1, 5))
         yield tuple(cells)
+
+
+def reference_common_refinement(p, q):
+    """Reference common refinement on ``Box`` values: meet every cell of
+    ``p`` with every cell of ``q``, sort the meets by ``Box.sort_key``, and
+    read off each side's relative operations and rank permutation."""
+    config = p.config
+    base = config.base
+    met, parents = [], []
+    for i, c1 in enumerate(p.cells):
+        for j, c2 in enumerate(q.cells):
+            m = c1.meet(c2, base)
+            if m is not None:
+                met.append(m)
+                parents.append((i, j))
+    order = sorted(range(len(met)), key=lambda k: met[k].sort_key(base))
+    r = og.Operation(config, tuple(met[k] for k in order))
+    r_cells = r.cells
+
+    def relative(op, side):
+        subs = [[] for _ in range(op.arity)]
+        for rank, k in enumerate(order):
+            subs[parents[k][side]].append(rank)
+        phi = tuple(
+            og.Operation(config, tuple(r_cells[rank].rescale_from(c, base) for rank in sub))
+            for c, sub in zip(op.cells, subs)
+        )
+        return phi, og.Permutation(tuple(rank for sub in subs for rank in sub))
+
+    phi_p, pi_p = relative(p, 0)
+    phi_q, pi_q = relative(q, 1)
+    return r, phi_p, phi_q, pi_p, pi_q
+
+
+def reference_format_tree(op):
+    """Reference tree literal, built recursively from ``Box`` values: a cell
+    that fills its branch is ".", any other branch the k children's
+    literals in parentheses."""
+    k = op.config.size
+
+    def rec(cells, box):
+        if len(cells) == 1 and cells[0] == box:
+            return "."
+        groups = [[] for _ in range(k)]
+        for c in cells:
+            groups[c.offs[0] // k ** (c.exps[0] - box.exps[0] - 1) % k].append(c)
+        return "(" + " ".join(rec(g, box.child(0, d, k)) for d, g in enumerate(groups)) + ")"
+
+    return rec(list(op.cells), og.Box.whole(1))

@@ -181,6 +181,16 @@ class TestSquareFill:
                     assert og.arrow_eq(og.compose(b1, a1), og.compose(b2, a2))
                     assert (b1, b2) == glued_square_fill(a1, a2)
 
+    def test_identity_legs_fill_by_the_unit_law(self):
+        rng = random.Random(9)
+        for config in (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3):
+            for coords in (1, 2, 3):
+                for _ in range(30):
+                    a = random_arrow(config, rng, coords=coords, gens=rng.randrange(5))
+                    unit = og.Arrow.identity(config, coords)
+                    assert og.square_fill(a, unit) == glued_square_fill(a, unit)
+                    assert og.square_fill(unit, a) == glued_square_fill(unit, a)
+
     def test_filling_an_arrow_against_itself_is_trivial(self):
         a = og.parse_arrow("p[1,0] ; (. .)", TREE2)
         b1, b2 = og.square_fill(a, a)

@@ -3,12 +3,13 @@ the package is bounded."""
 
 import importlib
 import pkgutil
+import time
 
 import pytest
 
 import operad_groups as og
 from operad_groups.cli import main
-from helpers import TREE2, TREE3
+from helpers import CUBE2, TREE2, TREE3
 
 SWAP = "(. .) | p[1,0] ; (. .)"
 
@@ -106,6 +107,48 @@ class TestExponentCap:
             og.parse_box(f"b({cap + 1}:0)")
         with pytest.raises(og.ParseError):
             og.parse_box(f"b({cap}:0,1:0)")
+
+
+class TestComputedDepthCap:
+    SHIFT = "((. .) .) | (. (. .))"
+
+    def test_the_last_power_under_the_cap_round_trips(self, capsys):
+        rc, out, _ = run(capsys, "elem", "pow", self.SHIFT, "255")
+        assert rc == 0 and out.count("(") == 2 * og.MAX_CELL_DEPTH
+        den, num = out.strip().split(" | ")
+        rc, back, _ = run(capsys, "elem", "inv", out.strip())
+        assert rc == 0 and back == f"{num} | {den}\n"
+
+    @pytest.mark.parametrize(
+        "span, n",
+        [
+            (SHIFT, 256),
+            ("(((((((((. .) .) .) .) .) .) .) .) .) | (. (. (. (. (. (. (. (. (. .)))))))))", 80),
+            ("(((. .) .) .) | (. (. (. .)))", 140),
+        ],
+    )
+    def test_deeper_results_are_refused_quickly(self, capsys, span, n):
+        t0 = time.perf_counter()
+        assert_typed_exit(capsys, "E_DEPTH", "elem", "pow", span, str(n))
+        assert time.perf_counter() - t0 < 10
+
+    def test_given_and_computed_cells_obey_the_cap(self):
+        cap = og.MAX_CELL_DEPTH
+        comb = og.op_comb(TREE2, cap)
+        assert max(sum(c.exps) for c in comb.cells) == cap
+        with pytest.raises(og.DepthError) as exc:
+            og.op_compose(comb, 0, og.op_generator(TREE2))
+        assert exc.value.code == "E_DEPTH"
+        deep = og.Box((cap + 1,), (0,))
+        with pytest.raises(og.DepthError):
+            og.Operation(TREE2, (deep,))
+        with pytest.raises(og.DepthError):
+            og.Operation(CUBE2, (og.Box((cap, 1), (0, 0)),))
+        with pytest.raises(og.DepthError):
+            og.cell_operation(TREE2, deep)
+        cube_comb = og.op_comb(CUBE2, cap)
+        with pytest.raises(og.DepthError):
+            og.op_compose(cube_comb, 0, og.op_generator(CUBE2, 1))
 
 
 class TestPowerCap:
