@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import BackendConfig
+from .backend import BackendConfig, input_slots
 from .category import Arrow, compose, perm_arrow, square_fill, tensor
 from .errors import (
     BaseMismatchError,
@@ -124,13 +124,7 @@ def _force_through(g: Span, alpha: Arrow):
 
 def _block_of_coords(z: Arrow, word_starts) -> tuple[int, ...]:
     """Symbol block hit by each domain coordinate of a pre-witness arrow."""
-    slot_starts = block_starts([op.arity for op in z.forest])
-    out = []
-    for t in range(z.domain_len):
-        j, _ = locate_block(slot_starts, z.perm(t))
-        i, _ = locate_block(word_starts, j)
-        out.append(i)
-    return tuple(out)
+    return tuple(locate_block(word_starts, j)[0] for j, _ in input_slots(z))
 
 
 def decompose(g: Span, W: StabilizerWitness):

@@ -15,11 +15,11 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     BaseMismatchError,
     DepthError,
+    LengthError,
     NotGuillotineError,
     NotPartitionError,
     ParseError,
@@ -139,21 +139,6 @@ class Box:
     def in_range(self, base: int) -> bool:
         return all(e >= 0 and 0 <= a < base**e for e, a in zip(self.exps, self.offs))
 
-    def lower(self, base: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, base**e) for e, a in zip(self.exps, self.offs))
-
-    def upper(self, base: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a + 1, base**e) for e, a in zip(self.exps, self.offs))
-
-    def volume(self, base: int) -> Fraction:
-        vol = Fraction(1)
-        for e in self.exps:
-            vol /= base**e
-        return vol
-
-    def sort_key(self, base: int):
-        return (self.lower(base), self.exps)
-
     def child(self, axis: int, digit: int, base: int) -> "Box":
         """The digit-th of the base many slices of this box along the axis."""
         exps = list(self.exps)
@@ -236,8 +221,8 @@ def parse_box(text: str) -> Box:
 
 
 def _cell_keys(cells, base: int) -> list:
-    """Integer sort keys ordering cells as ``Box.sort_key`` does: the lower
-    corner scaled to the finest exponent of each axis, then the exponents."""
+    """Integer sort keys for lexicographic cell order: the lower corner
+    scaled to the finest exponent of each axis, then the exponents."""
     finest = [max(axis) for axis in zip(*(c.exps for c in cells))]
     return [
         (tuple(a * base ** (f - e) for a, e, f in zip(c.offs, c.exps, finest)), c.exps)
@@ -360,7 +345,10 @@ def _tiles_in_order(cells, k: int) -> bool:
 def _check_volume_and_overlap(cells, base):
     """Name the fault of in-range cells that do not tile the unit cube: a
     total volume other than 1, else the first overlapping pair."""
-    if sum(c.volume(base) for c in cells) != 1:
+    # in units of the deepest cell's volume base^-E, cell c has base^(E-|c|)
+    depths = [sum(c.exps) for c in cells]
+    E = max(depths)
+    if sum(base ** (E - d) for d in depths) != base**E:
         raise NotPartitionError("cells do not have total volume 1")
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
@@ -566,18 +554,24 @@ def cell_operation(config: BackendConfig, box: Box) -> Operation:
     return Operation(config, _sorted_cells(cells, base))
 
 
+def input_slots(arrow) -> list[tuple[int, int]]:
+    """For each domain coordinate of an arrow, the pair (j, t): it feeds
+    input t of the operation at codomain coordinate j.
+
+    Duck-typed on (perm, forest), like ``realize``.
+    """
+    starts = block_starts([op.arity for op in arrow.forest])
+    return [locate_block(starts, pos) for pos in arrow.perm.imgs]
+
+
 def realize(arrow):
     """Geometric footprint of an arrow: for each domain coordinate, the pair
     (codomain coordinate, cell within it) that the coordinate occupies.
 
     Duck-typed on (perm, forest) so it can serve as an oracle for any layer.
     """
-    starts = block_starts([op.arity for op in arrow.forest])
-    table = []
-    for i in range(arrow.perm.degree):
-        j, t = locate_block(starts, arrow.perm(i))
-        table.append((j, arrow.forest[j].cells[t]))
-    return tuple(table)
+    forest = arrow.forest
+    return tuple((j, forest[j].cells[t]) for j, t in input_slots(arrow))
 
 
 def _compositions(total: int, parts: int):
@@ -619,7 +613,17 @@ def _cube_cell_shapes(d: int, gens: int) -> tuple:
                     cells = [c.inside(whole.child(axis, 0, 2), 2) for c in low]
                     cells += [c.inside(whole.child(axis, 1, 2), 2) for c in high]
                     seen.add(_sorted_cells(cells, 2))
-    return tuple(sorted(seen, key=lambda cs: [c.sort_key(2) for c in cs]))
+
+    def key(shape):
+        # lexicographic cell order across shapes: no exponent of a shape cut
+        # gens times exceeds gens, so a lower corner a/2^e scales exactly
+        # to the integer a * 2^(gens - e)
+        return [
+            (tuple(a << (gens - e) for e, a in zip(c.exps, c.offs)), c.exps)
+            for c in shape
+        ]
+
+    return tuple(sorted(seen, key=key))
 
 
 def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, ...]:
@@ -640,6 +644,8 @@ def operations_up_to(config: BackendConfig, max_gens: int) -> tuple[Operation, .
 
 def forests_up_to(config: BackendConfig, coords: int, max_gens: int):
     """All forests (one operation per coordinate) within a generator budget."""
+    if coords < 0:
+        raise LengthError(f"a word of length {coords} has no forests")
     if coords == 0:
         yield ()
         return

@@ -16,6 +16,7 @@ from .backend import (
     BackendConfig,
     Operation,
     PLANAR,
+    input_slots,
     op_common_refinement,
     op_identity,
     op_sorted_with_rank,
@@ -32,7 +33,7 @@ from .errors import (
     ParseError,
     SizeMismatchError,
 )
-from .perms import Permutation, block_starts, locate_block, parse_permutation
+from .perms import Permutation, block_starts, parse_permutation
 
 __all__ = [
     "Arrow",
@@ -208,10 +209,8 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
         for refinement in refinements:
             phi, pi = refinement[1 + side], refinement[3 + side]
             blocks.append((phi, pi, block_starts([op.arity for op in phi])))
-        starts = block_starts([op.arity for op in a.forest])
         fills, imgs = [], []
-        for i in range(a.domain_len):
-            j, t = locate_block(starts, a.perm(i))
+        for j, t in input_slots(a):
             phi, pi, graft = blocks[j]
             fills.append(phi[t])
             imgs.extend(r_starts[j] + pi(g) for g in range(graft[t], graft[t + 1]))

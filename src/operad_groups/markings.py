@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .backend import (
     BackendConfig,
@@ -22,6 +21,7 @@ from .backend import (
     PLANAR,
     _parse_int,
     cell_operation,
+    input_slots,
     op_identity,
     realize,
     standard_cells,
@@ -35,7 +35,7 @@ from .errors import (
     NotMultiballError,
     ParseError,
 )
-from .perms import Permutation, block_starts, locate_block
+from .perms import Permutation
 
 
 def _relabel(values) -> tuple:
@@ -135,12 +135,8 @@ def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
             f"comarking of length {len(comarking)} on codomain of length "
             f"{arrow.codomain_len}"
         )
-    starts = block_starts([op.arity for op in arrow.forest])
-    out = []
-    for i in range(arrow.domain_len):
-        j, _ = locate_block(starts, arrow.perm(i))
-        out.append(comarking.symbols[j])
-    return Marking(tuple(out))
+    symbols = comarking.symbols
+    return Marking(tuple(symbols[j] for j, _ in input_slots(arrow)))
 
 
 def marking_subset(m1: Marking, m2: Marking) -> bool:
@@ -317,9 +313,12 @@ def marked_cells(B: SemiPartitionClass, symbol: int = 0) -> tuple:
 def is_ball(B: SemiPartitionClass) -> bool:
     """A multiball is a ball when its marked cells unite to one standard cell.
 
-    Geometric reading of "has a single-marked representative": the bounding
-    box of the marked cells must be a standard cell that the cells fill
-    exactly.
+    Geometric reading of "has a single-marked representative": the marked
+    cells, disjoint cells of one partition, must fill their hull, the
+    smallest standard cell containing them all.  Per axis, the offsets are
+    reduced to the shallowest exponent, then divided by the base until they
+    agree.  Volumes are counted in units of the deepest marked cell's
+    volume base^-E.
     """
     if not B.is_multiball():
         raise NotMultiballError("ball test on a class that is not a multiball")
@@ -328,25 +327,17 @@ def is_ball(B: SemiPartitionClass) -> bool:
     if len({j for j, _ in cells}) != 1:
         return False
     boxes = [cell for _, cell in cells]
-    lo = [min(b.lower(base)[axis] for b in boxes) for axis in range(B.config.dim)]
-    hi = [max(b.upper(base)[axis] for b in boxes) for axis in range(B.config.dim)]
-    exps, offs = [], []
-    for a, b in zip(lo, hi):
-        width = b - a
-        if width > 1 or Fraction(1, width.denominator) != width:
-            return False
-        e = 0
-        while Fraction(1, base**e) != width:
-            e += 1
-            if Fraction(1, base**e) < width:
-                return False
-        off = a / width
-        if off.denominator != 1:
-            return False
-        exps.append(e)
-        offs.append(int(off))
-    hull = Box(tuple(exps), tuple(offs))
-    return sum(b.volume(base) for b in boxes) == hull.volume(base)
+    hull_depth = 0
+    for axis in range(B.config.dim):
+        e = min(b.exps[axis] for b in boxes)
+        offs = {b.offs[axis] // base ** (b.exps[axis] - e) for b in boxes}
+        while len(offs) > 1:
+            offs = {a // base for a in offs}
+            e -= 1
+        hull_depth += e
+    depths = [sum(b.exps) for b in boxes]
+    E = max(depths)
+    return sum(base ** (E - d) for d in depths) == base ** (E - hull_depth)
 
 
 def object_class(B: SemiPartitionClass) -> int:

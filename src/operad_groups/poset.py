@@ -15,6 +15,7 @@ from .backend import (
     BackendConfig,
     KARY_TREE,
     forests_up_to,
+    input_slots,
     op_comb,
     op_identity,
 )
@@ -36,7 +37,6 @@ from .markings import (
     object_equivalent,
     submultiballs,
 )
-from .perms import block_starts, locate_block
 from .report import Report
 
 
@@ -77,8 +77,7 @@ def is_y_progressive(config: BackendConfig, x: int, y: int, depth: int) -> bool:
     for m in lengths:
         forest = _refining_forest(config, m, y)
         witness = Arrow.from_forest(config, forest)
-        starts = block_starts([op.arity for op in forest])
-        blocks = {locate_block(starts, witness.perm(t))[0] for t in range(y)}
+        blocks = {j for j, _ in input_slots(witness)[:y]}
         if len(blocks) != 1:
             raise UnknownError(
                 f"no linked block of {y} inputs found refining a word of length {m}"

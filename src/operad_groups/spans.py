@@ -7,20 +7,16 @@ denominator, which is complete because the backends are cancellative.
 
 Each span also realizes a piecewise-affine self-map of the codomain's
 geometric cells, sending denominator cells to numerator cells; products
-compose these maps left to right (realize the left factor first).  The
-grid comparison below uses that map as an independent equality oracle.
+compose these maps left to right (realize the left factor first).
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .backend import BackendConfig
 from .category import Arrow, arrow_eq, compose, realize, square_fill, tensor
-from .errors import BaseMismatchError, NotPartitionError, ParseError, SizeMismatchError
+from .errors import BaseMismatchError, ParseError, SizeMismatchError
 
 # The largest exponent a power or an order search may ask for.  Each step is
 # one product, and the representatives of an infinite-order element grow
@@ -131,70 +127,6 @@ def sp_tensor(g: Span, h: Span) -> Span:
 def realized_map(g: Span):
     """Affine piece table: ((j, den cell), (j', num cell)) per domain coordinate."""
     return tuple(zip(realize(g.den), realize(g.num)))
-
-
-class _PieceIndex:
-    """Locates the affine piece containing a point of the codomain."""
-
-    def __init__(self, g: Span):
-        self.base = g.config.base
-        self.dim = g.config.dim
-        self.buckets = {}
-        for (jd, d_cell), (jn, n_cell) in realized_map(g):
-            self.buckets.setdefault(jd, []).append((d_cell, jn, n_cell))
-        if self.dim == 1:
-            for pieces in self.buckets.values():
-                pieces.sort(key=lambda row: row[0].lower(self.base))
-
-    def image(self, j: int, point):
-        pieces = self.buckets.get(j, ())
-        if self.dim == 1:
-            lowers = [row[0].lower(self.base)[0] for row in pieces]
-            i = bisect_right(lowers, point[0]) - 1
-            if i >= 0:
-                return self._affine(pieces[i], j, point)
-        for row in pieces:
-            d_cell = row[0]
-            lo, hi = d_cell.lower(self.base), d_cell.upper(self.base)
-            if all(a <= p < b for a, p, b in zip(lo, point, hi)):
-                return self._affine(row, j, point)
-        raise NotPartitionError(f"point {point} not covered at coordinate {j}")
-
-    def _affine(self, row, j, point):
-        d_cell, jn, n_cell = row
-        img = tuple(
-            nlo + (p - dlo) * Fraction(self.base) ** (de - ne)
-            for p, dlo, nlo, de, ne in zip(
-                point,
-                d_cell.lower(self.base),
-                n_cell.lower(self.base),
-                d_cell.exps,
-                n_cell.exps,
-            )
-        )
-        return jn, img
-
-
-def grid_eq(g: Span, h: Span) -> bool:
-    """Compare the realized maps on every grid point with denominator
-    base^K, K one more than the largest exponent in either span."""
-    _require_same_base(g, h)
-    base, dim = g.config.base, g.config.dim
-    exps = [0]
-    for span in (g, h):
-        for arrow in (span.den, span.num):
-            for op in arrow.forest:
-                for cell in op.cells:
-                    exps.extend(cell.exps)
-    K = max(exps) + 1
-    index_g, index_h = _PieceIndex(g), _PieceIndex(h)
-    step = Fraction(1, base**K)
-    for j in range(g.base_len):
-        for coords in itertools.product(range(base**K), repeat=dim):
-            point = tuple(c * step for c in coords)
-            if index_g.image(j, point) != index_h.image(j, point):
-                return False
-    return True
 
 
 def format_span(g: Span) -> str:

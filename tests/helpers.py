@@ -1,12 +1,16 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they are used to check:
+span equality is re-derived by comparing realized maps on a rational grid,
 the marked-arrow preorder is re-derived from realized geometry on a uniform
 grid, and ball recognition is re-derived by exhaustive search over standard
-boxes.
+boxes.  The package itself runs on integers only; the ``Fraction`` corner,
+volume and order of a cell live here, as references.
 """
 
 import itertools
+from bisect import bisect_right
+from fractions import Fraction
 
 import operad_groups as og
 from operad_groups.perms import block_starts, locate_block
@@ -28,6 +32,92 @@ PINWHEEL = (
     og.Box((1, 1, 1), (1, 1, 0)),
     og.Box((1, 1, 1), (0, 0, 1)),
 )
+
+
+def lower(cell, base):
+    """The lower corner of a cell, one ``Fraction`` per axis."""
+    return tuple(Fraction(a, base**e) for e, a in zip(cell.exps, cell.offs))
+
+
+def upper(cell, base):
+    """The upper corner of a cell, one ``Fraction`` per axis."""
+    return tuple(Fraction(a + 1, base**e) for e, a in zip(cell.exps, cell.offs))
+
+
+def volume(cell, base):
+    """The volume of a cell as a ``Fraction``."""
+    return Fraction(1, base ** sum(cell.exps))
+
+
+def sort_key(cell, base):
+    """Lexicographic cell order: the lower corner, then the exponents."""
+    return lower(cell, base), cell.exps
+
+
+class _PieceIndex:
+    """Locates the affine piece of a span containing a point of the codomain."""
+
+    def __init__(self, g):
+        self.base = g.config.base
+        self.dim = g.config.dim
+        self.buckets = {}
+        for (jd, d_cell), (jn, n_cell) in og.realized_map(g):
+            self.buckets.setdefault(jd, []).append((d_cell, jn, n_cell))
+        if self.dim == 1:
+            for pieces in self.buckets.values():
+                pieces.sort(key=lambda row: lower(row[0], self.base))
+
+    def image(self, j, point):
+        pieces = self.buckets.get(j, ())
+        if self.dim == 1:
+            lowers = [lower(row[0], self.base)[0] for row in pieces]
+            i = bisect_right(lowers, point[0]) - 1
+            if i >= 0:
+                return self._affine(pieces[i], j, point)
+        for row in pieces:
+            d_cell = row[0]
+            lo, hi = lower(d_cell, self.base), upper(d_cell, self.base)
+            if all(a <= p < b for a, p, b in zip(lo, point, hi)):
+                return self._affine(row, j, point)
+        raise og.NotPartitionError(f"point {point} not covered at coordinate {j}")
+
+    def _affine(self, row, j, point):
+        d_cell, jn, n_cell = row
+        img = tuple(
+            nlo + (p - dlo) * Fraction(self.base) ** (de - ne)
+            for p, dlo, nlo, de, ne in zip(
+                point,
+                lower(d_cell, self.base),
+                lower(n_cell, self.base),
+                d_cell.exps,
+                n_cell.exps,
+            )
+        )
+        return jn, img
+
+
+def grid_eq(g, h):
+    """Grid oracle for span equality: compare the realized maps on every
+    grid point with denominator base^K, K one more than the largest
+    exponent in either span."""
+    if g.config != h.config or g.base_len != h.base_len:
+        raise og.BaseMismatchError("spans live over different base words")
+    base, dim = g.config.base, g.config.dim
+    exps = [0]
+    for span in (g, h):
+        for arrow in (span.den, span.num):
+            for op in arrow.forest:
+                for cell in op.cells:
+                    exps.extend(cell.exps)
+    K = max(exps) + 1
+    index_g, index_h = _PieceIndex(g), _PieceIndex(h)
+    step = Fraction(1, base**K)
+    for j in range(g.base_len):
+        for coords in itertools.product(range(base**K), repeat=dim):
+            point = tuple(c * step for c in coords)
+            if index_g.image(j, point) != index_h.image(j, point):
+                return False
+    return True
 
 
 def random_operation(config, rng, gens):
@@ -80,6 +170,18 @@ def all_marked(config, coords, max_gens):
     for arrow in all_arrows(config, coords, max_gens):
         for marking in og.partial_markings(config, arrow.domain_len):
             yield og.MarkedArrow(arrow, marking)
+
+
+def identity_multiballs(config, coords, max_gens):
+    """Every multiball over `coords` base coordinates within the generator
+    budget.  A class absorbs its arrow's permutation into the marking, so
+    identity-permutation arrows reach them all without enumerating the
+    permutations."""
+    for forest in og.forests_up_to(config, coords, max_gens):
+        arrow = og.Arrow.from_forest(config, forest)
+        for marking in og.partial_markings(config, arrow.domain_len):
+            if marking.symbol_count == 1:
+                yield og.SemiPartitionClass(og.MarkedArrow(arrow, marking))
 
 
 def arrow_depth(arrow):
@@ -193,14 +295,14 @@ def reference_validate(config, cells):
             raise og.NotPartitionError(f"cell {c} has dimension {c.dim}, expected {dim}")
         if not c.in_range(base):
             raise og.NotPartitionError(f"cell {c} lies outside the unit cube")
-    if sum(c.volume(base) for c in cells) != 1:
+    if sum(volume(c, base) for c in cells) != 1:
         raise og.NotPartitionError("cells do not have total volume 1")
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             if a.meet(b, base) is not None:
                 raise og.NotPartitionError(f"cells {a} and {b} overlap")
     if config.kind == og.KARY_TREE:
-        if list(cells) != sorted(cells, key=lambda c: c.sort_key(base)):
+        if list(cells) != sorted(cells, key=lambda c: sort_key(c, base)):
             raise og.NotPartitionError("tree cells must be listed left to right")
         _reference_kary(cells, og.Box.whole(1), base)
     else:
@@ -279,7 +381,7 @@ def perturbed_patterns(config, rng, count):
 
 def reference_common_refinement(p, q):
     """Reference common refinement on ``Box`` values: meet every cell of
-    ``p`` with every cell of ``q``, sort the meets by ``Box.sort_key``, and
+    ``p`` with every cell of ``q``, sort the meets by ``sort_key``, and
     read off each side's relative operations and rank permutation."""
     config = p.config
     base = config.base
@@ -290,7 +392,7 @@ def reference_common_refinement(p, q):
             if m is not None:
                 met.append(m)
                 parents.append((i, j))
-    order = sorted(range(len(met)), key=lambda k: met[k].sort_key(base))
+    order = sorted(range(len(met)), key=lambda k: sort_key(met[k], base))
     r = og.Operation(config, tuple(met[k] for k in order))
     r_cells = r.cells
 

@@ -1,5 +1,7 @@
 """Boxes, operations, cut trees, and their literals."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,7 +19,9 @@ from helpers import (
     perturbed_patterns,
     random_operation,
     reference_validate,
+    sort_key,
     validation_outcome,
+    volume,
 )
 
 
@@ -30,9 +34,18 @@ class TestBox:
         assert deep == og.Box((2, 0), (3, 0))
 
     def test_volume(self):
-        assert og.Box((1,), (1,)).volume(2) == Fraction(1, 2)
-        assert og.Box((2, 1), (3, 0)).volume(2) == Fraction(1, 8)
-        assert og.Box.whole(3).volume(2) == 1
+        # the Fraction reference in helpers, and the kernel's integer volume
+        # sum naming the fault of a pattern with too little or too much
+        assert volume(og.Box((1,), (1,)), 2) == Fraction(1, 2)
+        assert volume(og.Box((2, 1), (3, 0)), 2) == Fraction(1, 8)
+        assert volume(og.Box.whole(3), 2) == 1
+        quarters = og.parse_cut_tree("[0 [1 . .] [1 . .]]").to_operation(CUBE2).cells
+        thirds = og.op_generator(TREE3).cells
+        halves = og.op_generator(CUBE1).cells
+        short_or_long = ((CUBE2, quarters[:3]), (TREE3, thirds[:2]), (CUBE1, halves + halves[:1]))
+        for config, cells in short_or_long:
+            with pytest.raises(og.NotPartitionError, match="total volume 1"):
+                og.op_validate_pattern(config, cells)
 
     def test_contains_nested_cells(self):
         half = og.Box((1,), (1,))  # [1/2, 1)
@@ -136,7 +149,7 @@ class TestOperationValidation:
         assert forward.cells == backward.cells[::-1]
 
     def test_pinwheel_is_a_partition_but_not_guillotine(self):
-        assert sum(b.volume(2) for b in PINWHEEL) == 1
+        assert sum(volume(b, 2) for b in PINWHEEL) == 1
         assert all(
             a.meet(b, 2) is None
             for i, a in enumerate(PINWHEEL)
@@ -287,9 +300,17 @@ class TestSortKeys:
                 keys = _cell_keys(cells, base)
                 for i in range(len(cells)):
                     for j in range(len(cells)):
-                        ki, kj = cells[i].sort_key(base), cells[j].sort_key(base)
+                        ki, kj = sort_key(cells[i], base), sort_key(cells[j], base)
                         assert (keys[i] < keys[j]) == (ki < kj)
                         assert (keys[i] == keys[j]) == (ki == kj)
+
+    @pytest.mark.parametrize("d, max_gens", [(1, 5), (2, 4), (3, 3)])
+    def test_cube_enumeration_follows_the_fraction_order(self, d, max_gens):
+        config = og.BackendConfig.cube(d)
+        for gens in range(max_gens + 1):
+            ops = og.operations_with_gens(config, gens)
+            keys = [[sort_key(c, 2) for c in op.cells] for op in ops]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (d, gens)
 
     def test_sorted_copy_and_rank(self):
         rng = random.Random(23)
@@ -300,7 +321,7 @@ class TestSortKeys:
                 rng.shuffle(cells)
                 shuffled = og.Operation(config, tuple(cells))
                 sorted_op, rank = op_sorted_with_rank(shuffled)
-                by_fraction = sorted(cells, key=lambda c: c.sort_key(config.base))
+                by_fraction = sorted(cells, key=lambda c: sort_key(c, config.base))
                 assert sorted_op.cells == tuple(by_fraction)
                 assert all(sorted_op.cells[rank(i)] == c for i, c in enumerate(cells))
 
@@ -327,7 +348,7 @@ class TestCommonRefinement:
                 q = random_operation(config, rng, rng.randrange(6))
                 r = og.op_common_refinement(p, q)[0]
                 met = [c1.meet(c2, base) for c1 in p.cells for c2 in q.cells]
-                assert sorted(r.cells, key=lambda c: c.sort_key(base)) == list(r.cells)
+                assert sorted(r.cells, key=lambda c: sort_key(c, base)) == list(r.cells)
                 assert set(r.cells) == {m for m in met if m is not None}
 
 
@@ -359,7 +380,7 @@ class TestCutTrees:
 
     def test_to_operation_sorts_cells(self):
         op = og.parse_cut_tree("[0 [1 . .] .]").to_operation(CUBE2)
-        assert op.cells == tuple(sorted(op.cells, key=lambda c: c.sort_key(2)))
+        assert op.cells == tuple(sorted(op.cells, key=lambda c: sort_key(c, 2)))
         assert op.arity == 3
 
     def test_axis_out_of_range(self):
@@ -408,3 +429,20 @@ class TestBackendConfig:
             for _ in range(25):
                 op = random_operation(config, rng, rng.randrange(5))
                 assert og.parse_operation(og.format_operation(op), config) == op
+
+
+class TestIntegerOnly:
+    def test_no_module_of_the_package_imports_fractions(self):
+        package = pathlib.Path(og.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "fractions" for name in names):
+                    offenders.append(path.name)
+        assert offenders == []

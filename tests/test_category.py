@@ -15,6 +15,7 @@ from helpers import (
     TREE3,
     glued_square_fill,
     random_arrow,
+    sort_key,
 )
 
 
@@ -70,7 +71,7 @@ class TestArrowConstruction:
                 canon = og.Arrow(config, arrow.perm, tuple(shuffled))
                 for op in canon.forest:
                     assert op.canonical
-                    assert list(op.cells) == sorted(op.cells, key=lambda c: c.sort_key(2))
+                    assert list(op.cells) == sorted(op.cells, key=lambda c: sort_key(c, 2))
                 assert og.realize(canon) == og.realize(raw)
 
     def test_planar_arrows_reject_nontrivial_permutations(self):

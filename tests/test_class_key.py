@@ -8,7 +8,17 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import operad_groups as og
-from helpers import CUBE2, CUBE3, PLANAR2, TREE2, TREE3, all_marked, random_arrow, random_span
+from helpers import (
+    CUBE2,
+    CUBE3,
+    PLANAR2,
+    TREE2,
+    TREE3,
+    all_marked,
+    grid_eq,
+    random_arrow,
+    random_span,
+)
 
 CONFIGS = (TREE2, TREE3, PLANAR2, CUBE2, CUBE3)
 
@@ -127,4 +137,4 @@ class TestStructuralIdentity:
             for g in identity_cases(config, rng):
                 one = og.sp_identity(config, g.base_len)
                 verdict = og.sp_is_identity(g)
-                assert verdict == og.sp_eq(g, one) == og.grid_eq(g, one), str(g)
+                assert verdict == og.sp_eq(g, one) == grid_eq(g, one), str(g)

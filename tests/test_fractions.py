@@ -5,7 +5,7 @@ import random
 import pytest
 
 import operad_groups as og
-from helpers import CUBE2, PLANAR2, TREE2, random_arrow, random_span
+from helpers import CUBE2, PLANAR2, TREE2, grid_eq, random_arrow, random_span
 
 
 class TestGroupStructure:
@@ -89,11 +89,11 @@ class TestEquality:
             spans = [random_span(config, rng, max_gens=3) for _ in range(40)]
             for i in range(0, len(spans) - 1, 2):
                 g, h = spans[i], spans[i + 1]
-                assert og.sp_eq(g, h) == og.grid_eq(g, h)
+                assert og.sp_eq(g, h) == grid_eq(g, h)
             for g in spans[:10]:
                 u = random_arrow(config, rng, coords=g.den.domain_len, gens=2)
                 h = og.Span(og.compose(u, g.den), og.compose(u, g.num))
-                assert og.sp_eq(g, h) and og.grid_eq(g, h)
+                assert og.sp_eq(g, h) and grid_eq(g, h)
 
 
 class TestRealizedMap:

@@ -9,7 +9,7 @@ import pytest
 
 import operad_groups as og
 from operad_groups.cli import main
-from helpers import CUBE2, TREE2, TREE3
+from helpers import CUBE2, TREE2, TREE3, _PieceIndex
 
 SWAP = "(. .) | p[1,0] ; (. .)"
 
@@ -82,11 +82,15 @@ class TestTypedErrors:
             og.pingpong_check(TREE3, 1)
 
     def test_uncovered_point_is_a_typed_error(self):
-        from operad_groups.spans import _PieceIndex
-
         index = _PieceIndex(og.parse_span(SWAP, TREE2))
         with pytest.raises(og.NotPartitionError):
             index.image(1, (0,))
+
+    def test_negative_base_is_a_typed_error(self, capsys):
+        assert_typed_exit(capsys, "E_LENGTH", "--base", "-1", "partition", "list")
+        assert_typed_exit(capsys, "E_LENGTH", "--base", "-1", "poset", "filtered", "--depth", "1")
+        with pytest.raises(og.LengthError):
+            next(og.forests_up_to(TREE2, -1, 1))
 
     def test_malformed_numbers_are_parse_errors(self, capsys):
         assert_typed_exit(capsys, "E_PARSE", "elem", "inv", "(. .) | p[1 0] ; (. .)")

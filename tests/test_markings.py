@@ -13,9 +13,12 @@ import operad_groups as og
 from helpers import (
     CUBE1,
     CUBE2,
+    CUBE3,
     PLANAR2,
     TREE2,
+    TREE3,
     all_marked,
+    identity_multiballs,
     oracle_is_ball,
     oracle_ma_subset,
     random_arrow,
@@ -180,6 +183,20 @@ class TestBalls:
                     continue
                 B = og.SemiPartitionClass(ma)
                 assert og.is_ball(B) == oracle_is_ball(B), str(ma)
+        pools = (
+            (TREE3, 1, 2),
+            (PLANAR2, 1, 3),
+            (CUBE1, 1, 3),
+            (CUBE3, 1, 2),
+            (TREE2, 2, 2),
+            (TREE3, 2, 1),
+            (CUBE1, 2, 2),
+            (CUBE2, 2, 2),
+            (CUBE3, 2, 1),
+        )
+        for config, coords, gens in pools:
+            for B in identity_multiballs(config, coords, gens):
+                assert og.is_ball(B) == oracle_is_ball(B), str(B)
 
     def test_recognizes_a_reassembled_square(self):
         # two stacked halves of the square form a ball; an L of three
