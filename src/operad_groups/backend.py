@@ -671,135 +671,51 @@ def _compositions_up_to(bound: int, parts: int):
         yield from _compositions(total, parts)
 
 
-@dataclass(frozen=True, slots=True)
-class CutTree:
-    """Witness for a cube operation: recursive midpoint halvings.
+# a digit run (a cut axis) or any other single character but whitespace
+_NESTED_TOKEN_RE = re.compile(r"\d+|\S")
 
-    A leaf has axis None; a node halves the current box along its axis and
-    recurses into the low and high halves.
-    """
 
-    axis: int | None = None
-    low: "CutTree | None" = None
-    high: "CutTree | None" = None
+def _parse_nested(text: str, config: BackendConfig) -> Operation:
+    """Read a tree literal, or a cube's cut-tree literal, building cells as
+    it reads: ``.`` is the current box, a tree node ``( ... )`` cuts it into
+    k slices along axis 0, and a cut node ``[axis low high]`` halves it
+    along the axis.  The axis is range-checked as it is read and the depth
+    cap at each opener, so a refused literal costs no deeper descent.  A
+    cube's cells are sorted afterwards; a tree's come out left to right."""
+    tokens = iter(_NESTED_TOKEN_RE.findall(text))
+    opener, closer = ("(", ")") if config.kind == KARY_TREE else ("[", "]")
+    base, dim = config.base, config.dim
+    cells = []
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.axis is None
-
-    def boxes(self, box: Box):
-        if self.is_leaf:
-            yield box
+    def read(box, depth):
+        tok = next(tokens, None)
+        if tok == ".":
+            cells.append(box)
             return
-        yield from self.low.boxes(box.child(self.axis, 0, 2))
-        yield from self.high.boxes(box.child(self.axis, 1, 2))
+        if tok != opener:
+            if tok is None:
+                raise ParseError(f"truncated literal: {text!r}")
+            raise ParseError(f"unexpected token {tok!r} in {config} literal")
+        if depth == MAX_CELL_DEPTH:
+            raise ParseError(f"literal nested more than {MAX_CELL_DEPTH} levels deep")
+        axis = 0
+        if opener == "[":
+            tok = next(tokens, "")
+            if not tok.isdecimal():
+                raise ParseError(f"expected cut axis, got {tok!r}")
+            axis = _parse_int(tok, "cut axis")
+            if axis >= dim:
+                raise ParseError(f"cut axis {axis} out of range for {config}")
+        for digit in range(base):
+            read(box.child(axis, digit, base), depth + 1)
+        if next(tokens, None) != closer:
+            raise ParseError(f"expected {base} children per node in {text!r}")
 
-    def to_operation(self, config: BackendConfig) -> Operation:
-        """The canonical (lexicographically ordered) operation this tree cuts."""
-        if config.kind != DYADIC_CUBE:
-            raise ParseError("cut trees describe cube operations")
-        for node in self._nodes():
-            if not 0 <= node.axis < config.dim:
-                raise ParseError(f"cut axis {node.axis} out of range for {config}")
-        cells = tuple(self.boxes(Box.whole(config.dim)))
-        return Operation(config, _sorted_cells(cells, 2))
-
-    def _nodes(self):
-        if not self.is_leaf:
-            yield self
-            yield from self.low._nodes()
-            yield from self.high._nodes()
-
-    def __str__(self):
-        if self.is_leaf:
-            return "."
-        return f"[{self.axis} {self.low} {self.high}]"
-
-
-LEAF = CutTree()
-
-
-def _check_nesting(tokens, opener: str, closer: str) -> None:
-    """Reject literals nested deeper than MAX_CELL_DEPTH before any
-    recursive descent runs."""
-    depth = 0
-    for tok in tokens:
-        if tok == opener:
-            depth += 1
-            if depth > MAX_CELL_DEPTH:
-                raise ParseError(f"literal nested more than {MAX_CELL_DEPTH} levels deep")
-        elif tok == closer:
-            depth -= 1
-
-
-def parse_cut_tree(text: str) -> CutTree:
-    tokens = re.findall(r"\[|\]|\.|\d+", text)
-    if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", text):
-        raise ParseError(f"bad cut tree literal: {text!r}")
-    _check_nesting(tokens, "[", "]")
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"truncated cut tree literal: {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def rec():
-        tok = next_token()
-        if tok == ".":
-            return LEAF
-        if tok == "[":
-            axis_tok = next_token()
-            if not axis_tok.isdigit():
-                raise ParseError(f"expected cut axis, got {axis_tok!r}")
-            low = rec()
-            high = rec()
-            if next_token() != "]":
-                raise ParseError(f"unbalanced brackets in {text!r}")
-            return CutTree(_parse_int(axis_tok, "cut axis"), low, high)
-        raise ParseError(f"unexpected token {tok!r} in cut tree literal")
-
-    tree = rec()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in cut tree literal: {text!r}")
-    return tree
-
-
-def _parse_tree_literal(text: str, config: BackendConfig) -> Operation:
-    if re.sub(r"[().\s]", "", text):
-        raise ParseError(f"bad tree literal: {text!r}")
-    tokens = re.findall(r"[().]", text)
-    _check_nesting(tokens, "(", ")")
-    k = config.size
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"truncated tree literal: {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def rec(box):
-        tok = next_token()
-        if tok == ".":
-            return [box]
-        if tok == "(":
-            cells = []
-            for digit in range(k):
-                cells.extend(rec(box.child(0, digit, k)))
-            if next_token() != ")":
-                raise ParseError(f"expected {k} children per node in {text!r}")
-            return cells
-        raise ParseError(f"unexpected token {tok!r} in tree literal")
-
-    cells = rec(Box.whole(1))
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in tree literal: {text!r}")
+    read(Box.whole(dim), 0)
+    if next(tokens, None) is not None:
+        raise ParseError(f"trailing tokens in literal: {text!r}")
+    if config.kind == DYADIC_CUBE and len(cells) > 1:
+        cells = _sorted_cells(cells, 2)
     return Operation(config, tuple(cells))
 
 
@@ -853,16 +769,11 @@ def _parse_pattern(text: str, config: BackendConfig) -> Operation:
 
 
 def parse_operation(text: str, config: BackendConfig) -> Operation:
+    """A cube pattern ``{b(...),...}``, else a tree or cut-tree literal."""
     t = text.strip()
-    if config.kind == KARY_TREE:
-        return _parse_tree_literal(t, config)
-    if t == ".":
-        return op_identity(config)
-    if t.startswith("["):
-        return parse_cut_tree(t).to_operation(config)
-    if t.startswith("{"):
+    if config.kind == DYADIC_CUBE and t.startswith("{"):
         return _parse_pattern(t, config)
-    raise ParseError(f"bad operation literal: {text!r}")
+    return _parse_nested(t, config)
 
 
 def format_operation(op: Operation) -> str:

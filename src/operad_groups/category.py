@@ -254,15 +254,8 @@ def format_arrow(a: Arrow) -> str:
     return f"{a.perm} ; {forest}" if forest else f"{a.perm} ;"
 
 
-def _strip_angles(text: str) -> str:
-    t = text.strip()
-    while t.startswith("⟨") and t.endswith("⟩"):
-        t = t[1:-1].strip()
-    return t
-
-
 def parse_arrow(text: str, config: BackendConfig) -> Arrow:
-    t = _strip_angles(text)
+    t = text.strip()
     perm = None
     if ";" in t:
         head, _, tail = t.partition(";")

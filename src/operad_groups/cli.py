@@ -50,6 +50,7 @@ def _emit(args, command: str, inputs, result) -> None:
 def _emit_report(args, report: Report) -> int:
     if args.json:
         for row in report.rows:
+            # certificate rows name an instance; poset pairs print as they are
             line = {"check": report.check, **row} if "instance" in row else dict(row)
             print(json.dumps(line))
     else:
@@ -107,25 +108,9 @@ def _cmd_act(args, config) -> int:
 
 def _cmd_partition(args, config) -> int:
     T = enumerate_pn(config, args.base, args.depth, args.y, args.n)
-    if args.json:
-        for P in T.elements:
-            print(
-                json.dumps(
-                    {
-                        "command": "partition list",
-                        "inputs": {
-                            "base": args.base,
-                            "depth": args.depth,
-                            "y": args.y,
-                            "n": args.n,
-                        },
-                        "result": str(P.rep),
-                    }
-                )
-            )
-    else:
-        for P in T.elements:
-            print(str(P.rep))
+    inputs = {"base": args.base, "depth": args.depth, "y": args.y, "n": args.n}
+    for P in T.elements:
+        _emit(args, "partition list", inputs, str(P.rep))
     return 0
 
 
@@ -133,13 +118,11 @@ def _cmd_poset(args, config) -> int:
     T = enumerate_pn(config, args.base, args.depth, args.y, args.n)
     report = check_filtered(T)
     if args.json:
-        for row in report.rows:
-            print(json.dumps(dict(row)))
-    else:
-        print(f"filtered: {'true' if report.ok else 'false'}")
-        print(f"pairs: {len(report.rows)}")
-        for row in report.failures():
-            print(f"  FAIL {row}")
+        return _emit_report(args, report)
+    print(f"filtered: {'true' if report.ok else 'false'}")
+    print(f"pairs: {len(report.rows)}")
+    for row in report.failures():
+        print(f"  FAIL {row}")
     return 0 if report.ok else 1
 
 

@@ -411,6 +411,9 @@ def full_markings(config: BackendConfig, n: int):
 
 
 def _planar_partial(n: int):
+    """Ordered markings of length n, each once: a marking splits uniquely
+    into a head and a last part, one unmarked coordinate or a whole run of
+    the newest symbol."""
     if n == 0:
         yield ()
         return
@@ -425,11 +428,7 @@ def _planar_partial(n: int):
 def partial_markings(config: BackendConfig, n: int):
     """Every marking on a length-n word, canonical symbols, flavor-aware."""
     if config.flavor == PLANAR:
-        seen = set()
-        for m in _planar_partial(n):
-            if m not in seen:
-                seen.add(m)
-                yield Marking(m)
+        yield from map(Marking, _planar_partial(n))
         return
     for support_size in range(n + 1):
         for support in itertools.combinations(range(n), support_size):

@@ -9,6 +9,7 @@ volume and order of a cell live here, as references.
 """
 
 import itertools
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -426,3 +427,130 @@ def reference_format_tree(op):
         return "(" + " ".join(rec(g, box.child(0, d, k)) for d, g in enumerate(groups)) + ")"
 
     return rec(list(op.cells), og.Box.whole(1))
+
+
+def _reference_int(digits, what):
+    try:
+        return int(digits)
+    except ValueError:
+        raise og.ParseError(f"bad {what}: {digits[:20]!r}") from None
+
+
+def _reference_check_nesting(tokens, opener, closer):
+    """Refuse literals nested deeper than the cap before any descent."""
+    depth = 0
+    for tok in tokens:
+        if tok == opener:
+            depth += 1
+            if depth > og.MAX_CELL_DEPTH:
+                raise og.ParseError(f"literal nested more than {og.MAX_CELL_DEPTH} levels deep")
+        elif tok == closer:
+            depth -= 1
+
+
+def _reference_token_reader(tokens, text):
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise og.ParseError(f"truncated literal: {text!r}")
+        pos += 1
+        return tokens[pos - 1]
+
+    def done():
+        if pos != len(tokens):
+            raise og.ParseError(f"trailing tokens in literal: {text!r}")
+
+    return next_token, done
+
+
+def reference_parse_tree_literal(text, config):
+    """The tree reader the kernel once used: a character check, a nesting
+    pre-scan, then a recursive descent over the tokens."""
+    if re.sub(r"[().\s]", "", text):
+        raise og.ParseError(f"bad tree literal: {text!r}")
+    tokens = re.findall(r"[().]", text)
+    _reference_check_nesting(tokens, "(", ")")
+    next_token, done = _reference_token_reader(tokens, text)
+    k = config.size
+
+    def rec(box):
+        tok = next_token()
+        if tok == ".":
+            return [box]
+        if tok == "(":
+            cells = []
+            for digit in range(k):
+                cells.extend(rec(box.child(0, digit, k)))
+            if next_token() != ")":
+                raise og.ParseError(f"expected {k} children per node in {text!r}")
+            return cells
+        raise og.ParseError(f"unexpected token {tok!r} in tree literal")
+
+    cells = rec(og.Box.whole(1))
+    done()
+    return og.Operation(config, tuple(cells))
+
+
+def reference_parse_cut_tree(text):
+    """The cut-tree reader the kernel once used, as nested tuples: a leaf is
+    None, a node (axis, low, high); the axis is not range-checked here."""
+    tokens = re.findall(r"\[|\]|\.|\d+", text)
+    if "".join(tokens) != re.sub(r"\s+", "", text):
+        raise og.ParseError(f"bad cut tree literal: {text!r}")
+    _reference_check_nesting(tokens, "[", "]")
+    next_token, done = _reference_token_reader(tokens, text)
+
+    def rec():
+        tok = next_token()
+        if tok == ".":
+            return None
+        if tok == "[":
+            axis_tok = next_token()
+            if not axis_tok.isdigit():
+                raise og.ParseError(f"expected cut axis, got {axis_tok!r}")
+            low = rec()
+            high = rec()
+            if next_token() != "]":
+                raise og.ParseError(f"unbalanced brackets in {text!r}")
+            return _reference_int(axis_tok, "cut axis"), low, high
+        raise og.ParseError(f"unexpected token {tok!r} in cut tree literal")
+
+    tree = rec()
+    done()
+    return tree
+
+
+def reference_cut_tree_operation(tree, config):
+    """The canonical cube operation a cut tree cuts, after a check of every
+    axis."""
+    cells = []
+
+    def rec(node, box):
+        if node is None:
+            cells.append(box)
+            return
+        axis, low, high = node
+        if not 0 <= axis < config.dim:
+            raise og.ParseError(f"cut axis {axis} out of range for {config}")
+        rec(low, box.child(axis, 0, 2))
+        rec(high, box.child(axis, 1, 2))
+
+    rec(tree, og.Box.whole(config.dim))
+    return og.Operation(config, tuple(sorted(cells, key=lambda c: sort_key(c, 2))))
+
+
+def reference_parse_operation(text, config):
+    """Reference operation reader: the tree reader for trees, and for cubes
+    the identity ".", a cut tree or a pattern."""
+    t = text.strip()
+    if config.kind == og.KARY_TREE:
+        return reference_parse_tree_literal(t, config)
+    if t == ".":
+        return og.op_identity(config)
+    if t.startswith("["):
+        return reference_cut_tree_operation(reference_parse_cut_tree(t), config)
+    if t.startswith("{"):
+        return og.backend._parse_pattern(t, config)
+    raise og.ParseError(f"bad operation literal: {text!r}")

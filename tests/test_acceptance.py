@@ -269,8 +269,8 @@ def test_criterion_11_backend_coherence():
         )
         if og.realize(arrow) != og.realize(twin):
             mismatches += 1
-    vh = og.parse_cut_tree("[0 [1 . .] [1 . .]]").to_operation(CUBE2)
-    hv = og.parse_cut_tree("[1 [0 . .] [0 . .]]").to_operation(CUBE2)
+    vh = og.parse_operation("[0 [1 . .] [1 . .]]", CUBE2)
+    hv = og.parse_operation("[1 [0 . .] [0 . .]]", CUBE2)
     ok = mismatches == 0 and vh == hv
     report(
         11,

@@ -1,4 +1,4 @@
-"""Boxes, operations, cut trees, and their literals."""
+"""Boxes, operations, tree and cut-tree literals."""
 
 import ast
 import pathlib
@@ -14,10 +14,12 @@ from helpers import (
     CUBE2,
     CUBE3,
     PINWHEEL,
+    PLANAR2,
     TREE2,
     TREE3,
     perturbed_patterns,
     random_operation,
+    reference_parse_operation,
     reference_validate,
     sort_key,
     validation_outcome,
@@ -39,7 +41,7 @@ class TestBox:
         assert volume(og.Box((1,), (1,)), 2) == Fraction(1, 2)
         assert volume(og.Box((2, 1), (3, 0)), 2) == Fraction(1, 8)
         assert volume(og.Box.whole(3), 2) == 1
-        quarters = og.parse_cut_tree("[0 [1 . .] [1 . .]]").to_operation(CUBE2).cells
+        quarters = og.parse_operation("[0 [1 . .] [1 . .]]", CUBE2).cells
         thirds = og.op_generator(TREE3).cells
         halves = og.op_generator(CUBE1).cells
         short_or_long = ((CUBE2, quarters[:3]), (TREE3, thirds[:2]), (CUBE1, halves + halves[:1]))
@@ -373,36 +375,108 @@ class TestRealize:
 
 class TestCutTrees:
     def test_parse_and_str_round_trip(self):
-        tree = og.parse_cut_tree("[0 . [1 . .]]")
-        assert tree.axis == 0 and tree.low.is_leaf and tree.high.axis == 1
-        assert str(tree) == "[0 . [1 . .]]"
-        assert og.LEAF.is_leaf and str(og.LEAF) == "."
+        op = og.parse_operation("[0 . [1 . .]]", CUBE2)
+        assert op.cells == (og.Box((1, 0), (0, 0)), og.Box((1, 1), (1, 0)), og.Box((1, 1), (1, 1)))
+        assert og.parse_operation(og.format_operation(op), CUBE2) == op
+        assert og.parse_operation(" . ", CUBE2) == og.op_identity(CUBE2)
 
     def test_to_operation_sorts_cells(self):
-        op = og.parse_cut_tree("[0 [1 . .] .]").to_operation(CUBE2)
+        op = og.parse_operation("[0 [1 . .] .]", CUBE2)
         assert op.cells == tuple(sorted(op.cells, key=lambda c: sort_key(c, 2)))
-        assert op.arity == 3
+        assert op.arity == 3 and op.canonical
 
     def test_axis_out_of_range(self):
         with pytest.raises(og.ParseError):
-            og.parse_cut_tree("[3 . .]").to_operation(CUBE2)
+            og.parse_operation("[3 . .]", CUBE2)
 
     def test_cut_trees_only_describe_cubes(self):
         with pytest.raises(og.ParseError):
-            og.parse_cut_tree("[0 . .]").to_operation(TREE2)
+            og.parse_operation("[0 . .]", TREE2)
+        with pytest.raises(og.ParseError):
+            og.parse_operation("(. .)", CUBE1)
 
     def test_parse_rejects_malformed_literals(self):
-        for text in ("[0 .", "[0 . .] .", "[x . .]", "(0 . .)", ""):
+        for text in ("[0 .", "[0 . .] .", "[x . .]", "(0 . .)", "", "[0 . . .]", "[²  . .]"):
             with pytest.raises(og.ParseError):
-                og.parse_cut_tree(text)
+                og.parse_operation(text, CUBE2)
 
     def test_boxes_enumerates_the_cut_cells(self):
-        tree = og.parse_cut_tree("[0 . [0 . .]]")
-        assert list(tree.boxes(og.Box.whole(1))) == [
+        assert og.parse_operation("[0 . [0 . .]]", CUBE1).cells == (
             og.Box((1,), (0,)),
             og.Box((2,), (2,)),
             og.Box((2,), (3,)),
-        ]
+        )
+
+
+# text the readers must agree on: the grammar's characters, digits that
+# int() reads (٣ and the fullwidth ０) or refuses (²), and Unicode whitespace
+NOISE = "()[]{}..  0123²٣０\u00a0\u2003\u3000\t\nxb:,"
+SPACES = (" ", "  ", "\u00a0", "\u2003", "\u3000", "\t", "\n", "")
+
+
+def random_nested_text(rng, config):
+    """A literal near the grammar of either reader: mostly a tree or cut
+    tree of the config's own grammar, sometimes with a wrong arity, axis
+    or grammar, mutated or not; else a literal at the nesting cap, or
+    random text."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return "".join(rng.choices(NOISE, k=rng.randrange(16)))
+    if kind == 1:
+        levels = og.MAX_CELL_DEPTH + rng.randrange(-1, 2)
+        if rng.random() < 0.5:
+            return "(" * levels + "(. .)" + " .)" * levels
+        return "[0 " * levels + "[0 . .]" + " .]" * levels
+    odd_digits = ("3", "٣", "０", "²", "01", "9" * 30)
+
+    def node(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return "."
+        own = rng.random() < 0.9
+        if (config.kind == og.KARY_TREE) == own:
+            arity = config.base if rng.random() < 0.9 else rng.randrange(1, 5)
+            return "(" + rng.choice(SPACES).join(node(depth - 1) for _ in range(arity)) + ")"
+        axis = str(rng.randrange(config.dim)) if rng.random() < 0.85 else rng.choice(odd_digits)
+        low, high = node(depth - 1), node(depth - 1)
+        return f"[{axis}{rng.choice(SPACES)}{low}{rng.choice(SPACES)}{high}]"
+
+    text = node(rng.randrange(1, 7))
+    for _ in range(rng.randrange(3) if kind > 3 else 0):
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(NOISE) + text[i + rng.randrange(2):]
+    return rng.choice(SPACES) + text + rng.choice(SPACES)
+
+
+def parse_outcome(parse, text, config):
+    """The printed operation, or the code of the refusal."""
+    try:
+        return og.format_operation(parse(text, config))
+    except og.OperadError as exc:
+        return exc.code
+
+
+class TestNestedReader:
+    def test_agrees_with_the_reference_readers(self):
+        rng = random.Random(8)
+        outcomes = set()
+        for config in (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3):
+            for _ in range(900):
+                text = random_nested_text(rng, config)
+                got = parse_outcome(og.parse_operation, text, config)
+                assert got == parse_outcome(reference_parse_operation, text, config), (config, text)
+                outcomes.add(got == "E_PARSE")
+        assert outcomes == {True, False}
+
+    def test_depth_cap_in_both_grammars(self):
+        cap = og.MAX_CELL_DEPTH
+        for config, node in ((TREE2, "(. {})"), (CUBE1, "[0 . {}]"), (CUBE2, "[1 {} .]")):
+            literal = "."
+            for _ in range(cap):
+                literal = node.format(literal)
+            op = og.parse_operation(literal, config)
+            assert max(sum(c.exps) for c in op.cells) == cap
+            with pytest.raises(og.ParseError, match="nested more than"):
+                og.parse_operation(node.format(literal), config)
 
 
 class TestBackendConfig:

@@ -108,10 +108,7 @@ class TestFreeAction:
         assert len(report.rows) == 73
 
     def test_reproducible(self):
-        assert (
-            og.free_action_check(TREE2, 3, 2, seed=5).rows
-            == og.free_action_check(TREE2, 3, 2, seed=5).rows
-        )
+        assert og.free_action_check(TREE2, 3, 2).rows == og.free_action_check(TREE2, 3, 2).rows
 
 
 class TestSigmaSpans:

@@ -71,7 +71,7 @@ texts = st.one_of(
     backends,
 )
 
-UNARY = (og.parse_backend, og.parse_box, og.parse_cut_tree, og.parse_permutation, og.parse_marking)
+UNARY = (og.parse_backend, og.parse_box, og.parse_permutation, og.parse_marking)
 WITH_CONFIG = (og.parse_operation, og.parse_arrow, og.parse_span, og.parse_marked_arrow)
 CONFIGS = (TREE2, TREE3, PLANAR2, og.BackendConfig.cube(1), CUBE2)
 

@@ -97,6 +97,12 @@ class TestTypedErrors:
         with pytest.raises(og.ParseError):
             og.parse_box("b(1 2:0)")
 
+    def test_angle_brackets_are_not_arrow_syntax(self, capsys):
+        for arrow in ("⟨(. .)⟩", "⟨⟨p[1,0] ; (. .)⟩⟩"):
+            with pytest.raises(og.ParseError):
+                og.parse_arrow(arrow, TREE2)
+            assert_typed_exit(capsys, "E_PARSE", "elem", "inv", f"{arrow} | (. .)")
+
 
 class TestExponentCap:
     def test_huge_exponent_is_refused_before_arithmetic(self, capsys):
@@ -225,7 +231,7 @@ class TestOversizedIntegers:
         lit = f"[{HUGE} . .]"
         assert_typed_exit(capsys, "E_PARSE", "--backend", "cube:d=1", "elem", "inv", f"{lit} | .")
         with pytest.raises(og.ParseError):
-            og.parse_cut_tree(lit)
+            og.parse_operation(lit, og.BackendConfig.cube(1))
 
     def test_marking_coordinate(self, capsys):
         assert_typed_exit(capsys, "E_PARSE", "act", SWAP, f"(. .) @ m[{HUGE}:a 1:b]")

@@ -265,6 +265,16 @@ class TestEnumerations:
         ]
         assert sum(1 for _ in og.partial_markings(PLANAR2, 3)) == 13
 
+    def test_planar_markings_are_the_ordered_ones_each_once(self):
+        counts = []
+        for n in range(7):
+            planar = list(og.partial_markings(PLANAR2, n))
+            assert len(set(planar)) == len(planar)
+            ordered = {m for m in og.partial_markings(TREE2, n) if m.is_ordered()}
+            assert set(planar) == ordered
+            counts.append(len(planar))
+        assert counts == [1, 2, 5, 13, 34, 89, 233]
+
     def test_marked_arrow_counts(self):
         assert sum(1 for _ in all_marked(TREE2, 1, 2)) == 192
         assert sum(1 for _ in all_marked(CUBE1, 1, 2)) == 192
