@@ -411,7 +411,7 @@ def op_subst(outer: Operation, inners) -> Operation:
             f"{len(inners)} operations substituted into arity {outer.arity}"
         )
     for inner in inners:
-        if inner.config != outer.config:
+        if inner.config is not outer.config and inner.config != outer.config:
             raise BaseMismatchError("substitution across different backends")
     if outer.arity == 1:
         return inners[0]
@@ -466,7 +466,7 @@ def op_common_refinement(p: Operation, q: Operation):
     meet their cells in one left-to-right walk, which lists r in order, so
     pi_p and pi_q are identities; cubes meet every pair of cells and sort.
     """
-    if p.config != q.config:
+    if p.config is not q.config and p.config != q.config:
         raise BaseMismatchError("refinement across different backends")
     config = p.config
     base = config.base
@@ -560,7 +560,7 @@ def input_slots(arrow) -> list[tuple[int, int]]:
 
     Duck-typed on (perm, forest), like ``realize``.
     """
-    starts = block_starts([op.arity for op in arrow.forest])
+    starts = block_starts([len(op.cells) for op in arrow.forest])
     return [locate_block(starts, pos) for pos in arrow.perm.imgs]
 
 

@@ -134,7 +134,7 @@ def push_perm(forest, tau: Permutation):
             f"forest of {len(forest)} operations under degree-{tau.degree} permutation"
         )
     forest_hat = tau.permute(forest)
-    starts = block_starts([op.arity for op in forest_hat])
+    starts = block_starts([len(op.cells) for op in forest_hat])
     imgs = []
     for j in tau.imgs:
         imgs.extend(range(starts[j], starts[j + 1]))
@@ -143,16 +143,16 @@ def push_perm(forest, tau: Permutation):
 
 def compose(a: Arrow, b: Arrow) -> Arrow:
     """Diagrammatic composite: first ``a``, then ``b``."""
-    if a.config != b.config:
+    if a.config is not b.config and a.config != b.config:
         raise DomainMismatchError("composition across different backends")
     if a.codomain_len != b.domain_len:
         raise DomainMismatchError(
             f"codomain length {a.codomain_len} does not match domain length {b.domain_len}"
         )
     tau_hat, forest_hat = push_perm(a.forest, b.perm)
-    starts = block_starts([op.arity for op in b.forest])
+    starts = block_starts([len(op.cells) for op in b.forest])
     grafted = tuple(
-        op_subst(op, forest_hat[starts[u] : starts[u] + op.arity])
+        op_subst(op, forest_hat[starts[u] : starts[u + 1]])
         for u, op in enumerate(b.forest)
     )
     return Arrow(a.config, a.perm * tau_hat, grafted)
@@ -161,7 +161,7 @@ def compose(a: Arrow, b: Arrow) -> Arrow:
 def tensor(a: Arrow, *rest: Arrow) -> Arrow:
     """Place arrows side by side."""
     for b in rest:
-        if a.config != b.config:
+        if a.config is not b.config and a.config != b.config:
             raise DomainMismatchError("tensor across different backends")
         shift = a.domain_len
         imgs = a.perm.imgs + tuple(shift + v for v in b.perm.imgs)
@@ -190,7 +190,7 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     composite sends that input to r_start[j] + pi_j(g + s) and is the
     identity, so the filling's permutation is the inverse of that list.
     """
-    if a1.config != a2.config:
+    if a1.config is not a2.config and a1.config != a2.config:
         raise CodomainMismatchError("cospan arrows from different backends")
     if a1.codomain_len != a2.codomain_len:
         raise CodomainMismatchError(
@@ -202,13 +202,13 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     if a1.is_identity():
         return Arrow.from_forest(config, a2.forest), perm_arrow(config, a2.perm.inverse())
     refinements = [op_common_refinement(op1, op2) for op1, op2 in zip(a1.forest, a2.forest)]
-    r_starts = block_starts([r.arity for r, *_ in refinements])
+    r_starts = block_starts([len(r.cells) for r, *_ in refinements])
 
     def filling(a, side):
         blocks = []  # per coordinate: (phi, pi, grafting starts of phi)
         for refinement in refinements:
             phi, pi = refinement[1 + side], refinement[3 + side]
-            blocks.append((phi, pi, block_starts([op.arity for op in phi])))
+            blocks.append((phi, pi, block_starts([len(op.cells) for op in phi])))
         fills, imgs = [], []
         for j, t in input_slots(a):
             phi, pi, graft = blocks[j]

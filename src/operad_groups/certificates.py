@@ -226,10 +226,10 @@ def _perm_sweep(config, max_perm_size, max_depth, fixed, link):
             base_arrow = Arrow.from_forest(config, forest)
             shown = str(base_arrow)
             variants = _sampled_perms(rng, base_arrow.domain_len, SWEEP_SAMPLES)
+            alphas = [Arrow(config, tau, forest) for tau in variants]
             for sigma in sigmas:
                 bad = None
-                for tau in variants:
-                    alpha = Arrow(config, tau, forest)
+                for alpha in alphas:
                     if fixed(alpha, sigma):
                         bad = str(alpha)
                         break

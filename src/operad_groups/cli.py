@@ -248,9 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = parse_backend(args.backend, args.flavor)
         if args.command == "elem":

@@ -10,6 +10,7 @@ preorder computed through square fillings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -364,6 +365,7 @@ def trivial_partition(config: BackendConfig, n: int) -> SemiPartitionClass:
     )
 
 
+@functools.lru_cache(maxsize=8192)
 def ball_at(config: BackendConfig, base_len: int, coord: int, cell: Box) -> SemiPartitionClass:
     """The ball sitting at a standard cell of one codomain coordinate."""
     forest = [op_identity(config)] * base_len

@@ -24,6 +24,7 @@ from .errors import (
     BaseMismatchError,
     NotPartitionError,
     NotSplitError,
+    ParseError,
     UnknownError,
 )
 from .markings import (
@@ -38,6 +39,12 @@ from .markings import (
     submultiballs,
 )
 from .report import Report
+
+# The most pairs check_filtered keeps a row for.  A truncation of N classes
+# has N(N-1)/2 pairs, refined at a few thousand per second, and one more
+# level of depth or a wider backend multiplies N, so no command-line
+# request buys unbounded time and memory.
+MAX_POSET_PAIRS = 20_000
 
 
 def is_split(config: BackendConfig, x: int) -> bool:
@@ -175,7 +182,14 @@ def enumerate_pn(
 
 
 def check_filtered(T: PosetTruncation) -> Report:
-    """Upper-bound every pair of truncation elements via refine_to_n."""
+    """Upper-bound every pair of truncation elements via refine_to_n;
+    more than MAX_POSET_PAIRS pairs are refused before any is refined."""
+    count = len(T.elements)
+    pairs = count * (count - 1) // 2
+    if pairs > MAX_POSET_PAIRS:
+        raise ParseError(
+            f"{pairs} pairs of {count} classes exceed the cap {MAX_POSET_PAIRS}"
+        )
     rows = []
     shown = [str(P.rep) for P in T.elements]
     for (i, P), (j, Q) in itertools.combinations(enumerate(T.elements), 2):

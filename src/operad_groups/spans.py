@@ -37,7 +37,7 @@ class Span:
     num: Arrow
 
     def __post_init__(self):
-        if self.den.config != self.num.config:
+        if self.den.config is not self.num.config and self.den.config != self.num.config:
             raise BaseMismatchError("span legs from different backends")
         if self.den.domain_len != self.num.domain_len:
             raise SizeMismatchError(

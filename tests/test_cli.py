@@ -190,6 +190,16 @@ class TestRoundTrip:
                 assert rc == 0 and out == "true\n"
 
 
+class TestSharedParser:
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(og.cli, "build_parser", refuse)
+        rc, out, _ = run(capsys, "elem", "inv", SHIFT)
+        assert rc == 0 and out == "(. (. .)) | ((. .) .)\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -89,6 +89,28 @@ def test_output_is_byte_identical(argv):
     assert _run(argv) == _golden()[tuple(argv)]
 
 
+# argument lists that end before a command runs: argparse's own error and
+# help paths, which must leave the shared parser as they found it
+FAILING = (
+    ["elem", "pow", SHIFT, "abc"],
+    ["frobnicate"],
+    ["elem", "pow"],
+    ["--help"],
+    ["cert", "sigma", "--help"],
+)
+
+
+def test_one_parser_serves_every_command_in_turn():
+    golden = _golden()
+    seen = {}
+    for i, argv in enumerate(COMMANDS + COMMANDS[::-1]):
+        bad = tuple(FAILING[i % len(FAILING)])
+        result = _run(bad)
+        assert seen.setdefault(bad, result) == result, bad
+        assert _run(argv) == golden[tuple(argv)], argv
+    assert [seen[tuple(bad)]["exit"] for bad in FAILING] == [2, 2, 2, 0, 0]
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(argv) for argv in COMMANDS], indent=1) + "\n")

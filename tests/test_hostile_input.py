@@ -258,6 +258,13 @@ class TestBackendSizeCap:
             og.BackendConfig.tree(cap + 1)
 
 
+class TestPosetPairCap:
+    def test_a_truncation_past_the_cap_is_refused_quickly(self, capsys):
+        start = time.perf_counter()
+        assert_typed_exit(capsys, "E_PARSE", "poset", "filtered", "--depth", "4")
+        assert time.perf_counter() - start < 10
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}

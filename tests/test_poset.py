@@ -166,3 +166,18 @@ class TestCheckFiltered:
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row["ok"] and {"p", "q", "upper_bound"} <= set(row)
+
+    def test_the_pair_cap_holds_at_its_value(self, monkeypatch):
+        T = og.enumerate_pn(TREE2, 1, 2, 1, 1)  # 8 classes, 28 pairs
+        monkeypatch.setattr(og.poset, "MAX_POSET_PAIRS", 28)
+        assert len(og.check_filtered(T).rows) == 28
+        monkeypatch.setattr(og.poset, "MAX_POSET_PAIRS", 27)
+        with pytest.raises(og.ParseError, match="28 pairs of 8 classes exceed the cap 27"):
+            og.check_filtered(T)
+
+    def test_larger_truncations_are_refused_before_the_pair_loop(self):
+        T = og.enumerate_pn(TREE2, 1, 4, 1, 1)
+        assert len(T.elements) == 513
+        message = f"131328 pairs of 513 classes exceed the cap {og.MAX_POSET_PAIRS}"
+        with pytest.raises(og.ParseError, match=message):
+            og.check_filtered(T)
