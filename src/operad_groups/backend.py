@@ -384,6 +384,7 @@ def op_validate_pattern(config: BackendConfig, boxes) -> Operation:
     return Operation(config, tuple(boxes))
 
 
+@functools.lru_cache(maxsize=256)
 def op_identity(config: BackendConfig) -> Operation:
     return Operation(config, (Box.whole(config.dim),))
 
@@ -433,6 +434,7 @@ def op_compose(outer: Operation, slot: int, inner: Operation) -> Operation:
     return op_subst(outer, inners)
 
 
+@functools.lru_cache(maxsize=256)
 def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
     """Iterated basic splits, always refining the first (or last) slot."""
     op = op_identity(config)

@@ -109,8 +109,14 @@ class Arrow:
     def codomain_len(self) -> int:
         return len(self.forest)
 
+    def is_permutation(self) -> bool:
+        """Every forest operation has one cell: the arrow only permutes.
+        Operations are never empty, so the arity sum equals the forest
+        length exactly in this case."""
+        return len(self.perm.imgs) == len(self.forest)
+
     def is_identity(self) -> bool:
-        return self.perm.is_identity() and all(op.is_identity() for op in self.forest)
+        return self.is_permutation() and self.perm.is_identity()
 
     def __str__(self):
         return format_arrow(self)
@@ -142,14 +148,29 @@ def push_perm(forest, tau: Permutation):
 
 
 def compose(a: Arrow, b: Arrow) -> Arrow:
-    """Diagrammatic composite: first ``a``, then ``b``."""
+    """Diagrammatic composite: first ``a``, then ``b``.
+
+    A permutation arrow on either side is answered by ``op_subst``'s unit
+    laws without grafting.  If ``a`` only permutes, its forest holds
+    identities: pushing ``b.perm`` across them gives ``b.perm`` itself and
+    identities again, and substituting identities into ``b``'s operations
+    returns them unchanged, so the composite is (a.perm * b.perm, b.forest).
+    If ``b`` only permutes, each of its operations is an identity, and
+    substituting one operation into an identity returns that operation, so
+    the composite is (a.perm * tau_hat, forest_hat) straight from
+    ``push_perm``.  Both forests are canonical already.
+    """
     if a.config is not b.config and a.config != b.config:
         raise DomainMismatchError("composition across different backends")
     if a.codomain_len != b.domain_len:
         raise DomainMismatchError(
             f"codomain length {a.codomain_len} does not match domain length {b.domain_len}"
         )
+    if a.is_permutation():
+        return Arrow(a.config, a.perm * b.perm, b.forest)
     tau_hat, forest_hat = push_perm(a.forest, b.perm)
+    if b.is_permutation():
+        return Arrow(a.config, a.perm * tau_hat, forest_hat)
     starts = block_starts([len(op.cells) for op in b.forest])
     grafted = tuple(
         op_subst(op, forest_hat[starts[u] : starts[u + 1]])

@@ -9,6 +9,7 @@ convention.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .backend import (
@@ -25,6 +26,7 @@ from .category import Arrow, arrow_eq, compose, perm_arrow
 from .errors import (
     FlavorError,
     NotSplitError,
+    ParseError,
     SizeMismatchError,
     UnknownError,
     UnsupportedBackendError,
@@ -207,13 +209,36 @@ def _sampled_perms(rng: random.Random, degree: int, count: int):
 SWEEP_SAMPLES = 2
 SWEEP_SEED = 0
 
+# The most rows a permutation sweep makes.  Length m brings m! - 1 rows per
+# forest, so one more unit of --max-perm multiplies the count; the count
+# itself stops past the cap.
+MAX_SWEEP_ROWS = 20_000
+
+
+def _sweep_rows(config, max_perm_size, max_depth) -> int:
+    """The rows of a sweep, counted up to just past MAX_SWEEP_ROWS."""
+    total = 0
+    for m in range(2, max_perm_size + 1):
+        sigmas = math.factorial(m) - 1
+        for _ in forests_up_to(config, m, max_depth):
+            total += sigmas
+            if total > MAX_SWEEP_ROWS:
+                return total
+    return total
+
 
 def _perm_sweep(config, max_perm_size, max_depth, fixed, link):
     """One row per word length m in 2..max_perm_size, forest of m operations
     within the generator budget, and non-identity sigma of degree m.  Each
     forest gets the identity and ``SWEEP_SAMPLES`` random input permutations
     tau; the row fails with the first arrow alpha = (tau, forest) for which
-    ``fixed(alpha, sigma)`` holds."""
+    ``fixed(alpha, sigma)`` holds.  More than MAX_SWEEP_ROWS rows are
+    refused before any is made."""
+    if max_depth < 0:
+        return ()  # no forest fits a negative budget, at any length
+    total = _sweep_rows(config, max_perm_size, max_depth)
+    if total > MAX_SWEEP_ROWS:
+        raise ParseError(f"at least {total} sweep rows exceed the cap {MAX_SWEEP_ROWS}")
     rng = random.Random(SWEEP_SEED)
     rows = []
     for m in range(2, max_perm_size + 1):

@@ -204,8 +204,21 @@ def ma_subset_with(p: MarkedArrow, q: MarkedArrow, filling) -> bool:
 
 
 def ma_subset(p: MarkedArrow, q: MarkedArrow) -> bool:
-    """The preorder on marked arrows; any square filling gives this verdict."""
+    """The preorder on marked arrows; any square filling gives this verdict.
+
+    Against an identity leg no filling is built.  When q.arrow is the
+    identity, the unit-law filling is the permutation arrow of p.perm's
+    inverse and the bare forest of p.arrow.  Through it p's marking and q's
+    marking pulled back through p.arrow both reach the filling's domain
+    renumbered by p.perm, and ``marking_subset`` does not change when both
+    markings are renumbered the same way.  So it is asked of those two
+    markings directly, and symmetrically when p.arrow is the identity.
+    """
     _require_same_base_ma(p, q)
+    if q.arrow.is_identity():
+        return marking_subset(p.marking, pull_back(p.arrow, q.marking))
+    if p.arrow.is_identity():
+        return marking_subset(pull_back(q.arrow, p.marking), q.marking)
     b1, b2 = square_fill(p.arrow, q.arrow)
     return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
 

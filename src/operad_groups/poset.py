@@ -9,11 +9,13 @@ bounded truncations, and reports filteredness pair by pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .backend import (
     BackendConfig,
     KARY_TREE,
+    PLANAR,
     forests_up_to,
     input_slots,
     op_comb,
@@ -34,9 +36,7 @@ from .markings import (
     class_key,
     class_subset,
     full_markings,
-    object_class,
     object_equivalent,
-    submultiballs,
 )
 from .report import Report
 
@@ -45,6 +45,11 @@ from .report import Report
 # level of depth or a wider backend multiplies N, so no command-line
 # request buys unbounded time and memory.
 MAX_POSET_PAIRS = 20_000
+
+# The most full markings enumerate_pn tries over its forests.  A forest of
+# arity a brings Bell(a) of them (2^(a-1) when planar), so one more level
+# of depth multiplies the count; the count itself stops past the cap.
+MAX_PARTITION_CANDIDATES = 50_000
 
 
 def is_split(config: BackendConfig, x: int) -> bool:
@@ -113,10 +118,13 @@ def n_condition(P: SemiPartitionClass, y: int, n: int) -> bool:
     """At least n marked blocks are object-equivalent to the word y."""
     if not P.is_partition():
         raise NotPartitionError("the n-condition applies to partitions")
+    # a block's object class is its symbol's multiplicity: the representative
+    # already has the identity permutation, so each submultiball keeps the
+    # marked coordinates of its symbol
     hits = sum(
         1
-        for B in submultiballs(P)
-        if object_equivalent(P.config, object_class(B), y)
+        for count in Counter(P.rep.marking.symbols).values()
+        if object_equivalent(P.config, count, y)
     )
     return hits >= n
 
@@ -162,11 +170,50 @@ class PosetTruncation:
         return class_subset(Q, P)
 
 
+def _full_marking_count(config: BackendConfig, arity: int) -> int:
+    """How many markings ``full_markings`` yields on a word of this length,
+    or some number past MAX_PARTITION_CANDIDATES once it is past."""
+    cap = MAX_PARTITION_CANDIDATES
+    if config.flavor == PLANAR:
+        return 1 << min(max(arity - 1, 0), cap.bit_length())
+    row = [1]  # the Bell triangle: row a starts with Bell(a)
+    for _ in range(arity):
+        if row[0] > cap:
+            break
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def _candidate_count(config: BackendConfig, base: int, depth: int) -> int:
+    """The full markings over every forest, counted up to just past
+    MAX_PARTITION_CANDIDATES."""
+    if depth >= 0 and _full_marking_count(config, base) > MAX_PARTITION_CANDIDATES:
+        # the first forest holds identities only, of arity ``base``: a base
+        # past the cap on its own is answered before any forest is built
+        return MAX_PARTITION_CANDIDATES + 1
+    total = 0
+    for forest in forests_up_to(config, base, depth):
+        total += _full_marking_count(config, sum(len(op.cells) for op in forest))
+        if total > MAX_PARTITION_CANDIDATES:
+            break
+    return total
+
+
 def enumerate_pn(
     config: BackendConfig, base: int, depth: int, y: int, n: int
 ) -> PosetTruncation:
     """All n-condition partitions within a generator budget, deduplicated:
-    the first candidate in printed order stands for its class."""
+    the first candidate in printed order stands for its class.  More than
+    MAX_PARTITION_CANDIDATES full markings are refused before any is built."""
+    total = _candidate_count(config, base, depth)
+    if total > MAX_PARTITION_CANDIDATES:
+        raise ParseError(
+            f"at least {total} partition candidates exceed the cap "
+            f"{MAX_PARTITION_CANDIDATES}"
+        )
     candidates = []
     for forest in forests_up_to(config, base, depth):
         arrow = Arrow.from_forest(config, forest)

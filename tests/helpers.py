@@ -554,3 +554,40 @@ def reference_parse_operation(text, config):
     if t.startswith("{"):
         return og.backend._parse_pattern(t, config)
     raise og.ParseError(f"bad operation literal: {text!r}")
+
+
+def reference_compose(a, b):
+    """Reference composite by the general path alone: push ``b``'s
+    permutation across ``a``'s forest, then graft each operation of ``b``
+    onto its run of the pushed forest."""
+    tau_hat, forest_hat = og.push_perm(a.forest, b.perm)
+    starts = block_starts([len(op.cells) for op in b.forest])
+    grafted = tuple(
+        og.op_subst(op, forest_hat[starts[u] : starts[u + 1]])
+        for u, op in enumerate(b.forest)
+    )
+    return og.Arrow(a.config, a.perm * tau_hat, grafted)
+
+
+def reference_n_condition(P, y, n):
+    """Reference n-condition: build each symbol's submultiball and read its
+    object class."""
+    hits = sum(
+        1
+        for B in og.submultiballs(P)
+        if og.object_equivalent(P.config, og.object_class(B), y)
+    )
+    return hits >= n
+
+
+def random_marking(config, rng, length):
+    """A random partial marking; in the planar flavor each symbol is one run."""
+    if config.flavor == og.PLANAR:
+        symbols, fresh, current = [], 0, None
+        for _ in range(length):
+            if not symbols or rng.random() < 0.5:
+                current = None if rng.random() < 0.3 else fresh
+                fresh += current is not None
+            symbols.append(current)
+        return og.Marking(tuple(symbols))
+    return og.Marking(tuple(rng.choice((None, 0, 1, 2)) for _ in range(length)))

@@ -140,6 +140,32 @@ class TestSigmaSpans:
         assert og.sigma_span_report(CUBE2, 2, 1).ok
 
 
+class TestSweepCap:
+    # tree:k=2 within one generator: 3 forests of 2 operations, 4 of 3
+    ROWS = 3 * 1 + 4 * 5
+
+    def test_the_cap_holds_at_its_value(self, monkeypatch):
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", self.ROWS)
+        assert len(og.sigma_span_report(TREE2, 3, 1).rows) == self.ROWS
+        assert len(og.free_action_check(TREE2, 3, 1).rows) == self.ROWS
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", self.ROWS - 1)
+        message = f"at least {self.ROWS} sweep rows exceed the cap {self.ROWS - 1}"
+        for check in (og.sigma_span_report, og.free_action_check):
+            with pytest.raises(og.ParseError, match=message):
+                check(TREE2, 3, 1)
+
+    def test_longer_sweeps_are_refused_before_any_row(self):
+        message = f"sweep rows exceed the cap {og.MAX_SWEEP_ROWS}"
+        for check in (og.sigma_span_report, og.free_action_check):
+            with pytest.raises(og.ParseError, match=message):
+                check(TREE2, 7, 1)
+            with pytest.raises(og.ParseError, match=message):
+                check(TREE2, 10**9, 10**6)
+
+    def test_a_negative_budget_has_no_rows_at_any_length(self):
+        assert og.sigma_span_report(TREE2, 10**9, -1).rows == ()
+
+
 class TestPaddedCertificates:
     def test_torsion_orders_survive_padding(self):
         assert og.sp_order(og.make_padded_gamma1(TREE2), 8) == 2

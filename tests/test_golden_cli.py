@@ -54,6 +54,9 @@ def _commands():
         ["--backend", "cube:d=2", "elem", "inv", "{b(1:0,0:0)} | ."],
         ["--backend", "cube:d=2", "elem", "inv", "{b(1:0,0:0),b(1:0,0:0)} | ."],
         ["--backend", "cube:d=3", "elem", "inv", f"{PINWHEEL} | {PINWHEEL}"],
+        # the heavy permutation sweeps of the benchmark's session
+        ["cert", "sigma", "--max-perm", "4", "--depth", "3"],
+        ["cert", "freeaction", "--max-perm", "4", "--depth", "3"],
     ]
     return out
 

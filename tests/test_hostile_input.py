@@ -265,6 +265,39 @@ class TestPosetPairCap:
         assert time.perf_counter() - start < 10
 
 
+class TestPartitionCandidateCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--backend", "tree:k=4", "partition", "list", "--depth", "3"),
+            ("--backend", "tree:k=4", "poset", "filtered", "--depth", "3"),
+            ("partition", "list", "--depth", "6"),
+            ("--base", "5000", "partition", "list", "--depth", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_an_enumeration_past_the_cap_is_refused_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert_typed_exit(capsys, "E_PARSE", *argv)
+        assert time.perf_counter() - start < 10
+
+
+class TestSweepRowCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cert", "sigma", "--max-perm", "7", "--depth", "1"),
+            ("cert", "freeaction", "--max-perm", "8", "--depth", "1"),
+            ("cert", "sigma", "--max-perm", "1000000000", "--depth", "1000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_a_sweep_past_the_cap_is_refused_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert_typed_exit(capsys, "E_PARSE", *argv)
+        assert time.perf_counter() - start < 10
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}

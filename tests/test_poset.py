@@ -126,6 +126,25 @@ class TestEnumerate:
         T = og.enumerate_pn(TREE2, 1, 2, 1, 2)
         assert all(og.n_condition(P, 1, 2) for P in T.elements)
 
+    def test_the_candidate_cap_holds_at_its_value(self, monkeypatch):
+        # tree:k=2 at depth 4 tries 816 full markings over its forests
+        count = len(og.enumerate_pn(TREE2, 1, 4, 1, 1).elements)
+        monkeypatch.setattr(og.poset, "MAX_PARTITION_CANDIDATES", 816)
+        assert len(og.enumerate_pn(TREE2, 1, 4, 1, 1).elements) == count
+        monkeypatch.setattr(og.poset, "MAX_PARTITION_CANDIDATES", 815)
+        with pytest.raises(og.ParseError, match="at least 816 partition candidates exceed the cap 815"):
+            og.enumerate_pn(TREE2, 1, 4, 1, 1)
+
+    def test_the_golden_truncations_stay_under_the_cap(self):
+        for config, depth in ((TREE2, 5), (TREE3, 3), (CUBE2, 3)):
+            assert og.enumerate_pn(config, 1, depth, 1, 1).elements
+
+    def test_more_candidates_are_refused_before_any_is_built(self):
+        cap = og.MAX_PARTITION_CANDIDATES
+        for config, base, depth in ((TREE2, 1, 6), (og.BackendConfig.tree(4), 1, 3), (TREE2, 5000, 0)):
+            with pytest.raises(og.ParseError, match=f"partition candidates exceed the cap {cap}"):
+                og.enumerate_pn(config, base, depth, 1, 1)
+
 
 class TestTruncationOrder:
     def test_coarser_partitions_sit_below(self):
