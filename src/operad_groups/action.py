@@ -32,9 +32,24 @@ from .spans import Span, sp_eq
 
 
 def act(g: Span, S: SemiPartitionClass) -> SemiPartitionClass:
-    """Transport a class through a span; independent of the filling chosen."""
+    """Transport a class through a span; independent of the filling chosen.
+
+    A class whose representative arrow is the identity is answered by the
+    unit law without filling.  There the filling of (num, id) is
+    (perm_arrow(num.perm^-1), from_forest(num.forest)), so the transported
+    arrow is (num.perm^-1 * den.perm, den.forest) and the marking is S's,
+    pulled back through num.forest alone.  ``SemiPartitionClass`` moves the
+    permutation into the marking: input i then carries the symbol of the
+    output that num.perm(den.perm^-1(i)) feeds in num.forest, which is what
+    pulling back through all of num and then normalizing den.perm gives.
+    So (den, pull_back(num, marking)) has the same representative, and in
+    the planar flavor, where both permutations are the identity, it is the
+    same marked arrow.
+    """
     if g.config != S.config or g.base_len != S.base_len:
         raise BaseMismatchError("span and class live over different bases")
+    if S.rep.arrow.is_identity():
+        return SemiPartitionClass(MarkedArrow(g.den, pull_back(g.num, S.rep.marking)))
     b1, b2 = square_fill(g.num, S.rep.arrow)
     return SemiPartitionClass(
         MarkedArrow(compose(b1, g.den), pull_back(b2, S.rep.marking))

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
     SlotRangeError,
 )
-from .perms import Permutation, block_starts, locate_block
+from .perms import Permutation
 
 PLANAR = "planar"
 SYMMETRIC = "symmetric"
@@ -562,8 +562,8 @@ def input_slots(arrow) -> list[tuple[int, int]]:
 
     Duck-typed on (perm, forest), like ``realize``.
     """
-    starts = block_starts([len(op.cells) for op in arrow.forest])
-    return [locate_block(starts, pos) for pos in arrow.perm.imgs]
+    slots = [(j, t) for j, op in enumerate(arrow.forest) for t in range(len(op.cells))]
+    return list(map(slots.__getitem__, arrow.perm.imgs))
 
 
 def realize(arrow):

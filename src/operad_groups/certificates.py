@@ -39,6 +39,19 @@ from .spans import Span, check_exponent, format_span, sp_is_identity, sp_mul, sp
 from .action import act
 
 
+# The most rows a certificate sweep makes.  In a permutation sweep length m
+# brings m! - 1 rows per forest, so one more unit of --max-perm multiplies
+# the count; the ping-pong balls double per level of --depth and the
+# alternating words every two steps of --max-len.  Each count stops past
+# the cap.
+MAX_SWEEP_ROWS = 20_000
+
+
+def _refuse_past_cap(total: int, what: str):
+    if total > MAX_SWEEP_ROWS:
+        raise ParseError(f"at least {total} {what} exceed the cap {MAX_SWEEP_ROWS}")
+
+
 def _require_symmetric(config: BackendConfig, what: str):
     if config.flavor != SYMMETRIC:
         raise FlavorError(f"{what} needs the symmetric flavor")
@@ -92,8 +105,28 @@ def pingpong_balls(config: BackendConfig):
     return b1, b2
 
 
+def _pingpong_rows(config: BackendConfig, depth: int) -> int:
+    """The rows of ``pingpong_check``, |A2| + 2|A1|, counted up to just
+    past MAX_SWEEP_ROWS.
+
+    A standard cell lies in one of the two balls exactly when it is cut at
+    least once along axis 0, and then it lies in the one its first cut
+    along axis 0 picks.  An exponent vector of total t carries 2^t cells,
+    and C(t+d-2, d-1) vectors of total t have a positive first entry; half
+    of the cells of each of these lie in each ball.
+    """
+    dim = config.dim
+    per_ball = 0
+    for t in range(1, depth + 1):
+        per_ball += (1 << (t - 1)) * math.comb(t + dim - 2, dim - 1)
+        if 3 * per_ball > MAX_SWEEP_ROWS:
+            break
+    return 3 * per_ball
+
+
 def pingpong_check(config: BackendConfig, depth: int) -> Report:
-    """Table tennis inclusions for the free subgroup on the two balls."""
+    """Table tennis inclusions for the free subgroup on the two balls.
+    More than MAX_SWEEP_ROWS rows are refused before any ball is built."""
     from .markings import all_balls
 
     if config.kind == KARY_TREE and config.size != 2:
@@ -105,6 +138,7 @@ def pingpong_check(config: BackendConfig, depth: int) -> Report:
     g1 = make_gamma1(config)
     g2 = make_gamma2(config)
     g2sq = sp_mul(g2, g2)
+    _refuse_past_cap(_pingpong_rows(config, depth), "ping-pong rows")
     B1, B2 = pingpong_balls(config)
     pool = tuple(all_balls(config, 1, depth))
     A1 = [b for b in pool if class_subset(b, B1)]
@@ -161,11 +195,37 @@ def _alternating_rows(g1: Span, g2: Span, max_len: int, rows: list):
     extend("", None, True, 0)
 
 
+def _alternating_word_rows(max_len: int) -> int:
+    """The reduced alternating words of length 1..max_len, counted up to
+    just past MAX_SWEEP_ROWS: a word of length L starting with g1 has
+    floor(L/2) syllables of two choices, one starting with g2 ceil(L/2)."""
+    total = 0
+    for length in range(1, max_len + 1):
+        total += (1 << (length // 2)) + (1 << ((length + 1) // 2))
+        if total > MAX_SWEEP_ROWS:
+            break
+    return total
+
+
 def alternating_words_nontrivial(config: BackendConfig, max_len: int) -> Report:
-    """No reduced alternating word in the two torsion elements collapses."""
+    """No reduced alternating word in the two torsion elements collapses.
+    More than MAX_SWEEP_ROWS words are refused before any is multiplied."""
+    _refuse_past_cap(_alternating_word_rows(max_len), "alternating-word rows")
     rows: list = []
     _alternating_rows(make_gamma1(config), make_gamma2(config), max_len, rows)
     return Report("alternating_words", tuple(rows))
+
+
+def pingpong_reports(config: BackendConfig, depth: int, max_len: int) -> tuple:
+    """The ping-pong report, then the alternating words up to max_len when
+    max_len is positive.  Each row count is checked before either report
+    is made: a word count past the cap before any ball is built, and the
+    ball count by ``pingpong_check`` before any word is multiplied."""
+    _refuse_past_cap(_alternating_word_rows(max_len), "alternating-word rows")
+    reports = (pingpong_check(config, depth),)
+    if max_len > 0:
+        reports += (alternating_words_nontrivial(config, max_len),)
+    return reports
 
 
 def make_infinite_element(config: BackendConfig) -> Span:
@@ -209,11 +269,6 @@ def _sampled_perms(rng: random.Random, degree: int, count: int):
 SWEEP_SAMPLES = 2
 SWEEP_SEED = 0
 
-# The most rows a permutation sweep makes.  Length m brings m! - 1 rows per
-# forest, so one more unit of --max-perm multiplies the count; the count
-# itself stops past the cap.
-MAX_SWEEP_ROWS = 20_000
-
 
 def _sweep_rows(config, max_perm_size, max_depth) -> int:
     """The rows of a sweep, counted up to just past MAX_SWEEP_ROWS."""
@@ -236,9 +291,7 @@ def _perm_sweep(config, max_perm_size, max_depth, fixed, link):
     refused before any is made."""
     if max_depth < 0:
         return ()  # no forest fits a negative budget, at any length
-    total = _sweep_rows(config, max_perm_size, max_depth)
-    if total > MAX_SWEEP_ROWS:
-        raise ParseError(f"at least {total} sweep rows exceed the cap {MAX_SWEEP_ROWS}")
+    _refuse_past_cap(_sweep_rows(config, max_perm_size, max_depth), "sweep rows")
     rng = random.Random(SWEEP_SEED)
     rows = []
     for m in range(2, max_perm_size + 1):

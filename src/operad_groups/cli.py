@@ -15,13 +15,12 @@ import sys
 from .backend import parse_backend
 from .action import act
 from .certificates import (
-    alternating_words_nontrivial,
     free_action_check,
     infinite_order_check,
     make_gamma1,
     make_gamma2,
     padded_certificates_check,
-    pingpong_check,
+    pingpong_reports,
     sigma_span_report,
 )
 from .errors import OperadError, ParseError
@@ -145,11 +144,8 @@ def _cmd_cert(args, config) -> int:
     if args.cert_cmd == "infinite":
         return _emit_report(args, infinite_order_check(config, args.max_n))
     if args.cert_cmd == "pingpong":
-        code = _emit_report(args, pingpong_check(config, args.depth))
-        if args.max_len > 0:
-            words = alternating_words_nontrivial(config, args.max_len)
-            code = max(code, _emit_report(args, words))
-        return code
+        reports = pingpong_reports(config, args.depth, args.max_len)
+        return max(_emit_report(args, report) for report in reports)
     if args.cert_cmd == "freeaction":
         return _emit_report(
             args, free_action_check(config, args.max_perm, args.depth)

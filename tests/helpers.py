@@ -591,3 +591,33 @@ def random_marking(config, rng, length):
             symbols.append(current)
         return og.Marking(tuple(symbols))
     return og.Marking(tuple(rng.choice((None, 0, 1, 2)) for _ in range(length)))
+
+
+def reference_input_slots(arrow):
+    """Reference input-slot lookup: one bisection into the forest's block
+    starts per domain coordinate."""
+    starts = block_starts([len(op.cells) for op in arrow.forest])
+    return [locate_block(starts, pos) for pos in arrow.perm.imgs]
+
+
+def act_through_fill(g, S):
+    """Reference action by the general path alone: fill the numerator
+    against the class's arrow, compose onto the denominator and pull the
+    marking back through the filling."""
+    if g.config != S.config or g.base_len != S.base_len:
+        raise og.BaseMismatchError("span and class live over different bases")
+    b1, b2 = og.square_fill(g.num, S.rep.arrow)
+    return og.SemiPartitionClass(
+        og.MarkedArrow(og.compose(b1, g.den), og.pull_back(b2, S.rep.marking))
+    )
+
+
+def reference_check_filtered(T):
+    """Reference filteredness rows: ``refine_to_n`` once per pair."""
+    rows = []
+    shown = [str(P.rep) for P in T.elements]
+    for (i, P), (j, Q) in itertools.combinations(enumerate(T.elements), 2):
+        R = og.refine_to_n(P, Q, T.y, T.n)
+        ok = og.class_subset(R, P) and og.class_subset(R, Q) and og.n_condition(R, T.y, T.n)
+        rows.append({"p": shown[i], "q": shown[j], "upper_bound": str(R.rep), "ok": ok})
+    return tuple(rows)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import operad_groups as og
-from operad_groups.backend import _cell_keys, _sorted_cells, op_sorted_with_rank
+from operad_groups.backend import _cell_keys, _sorted_cells, input_slots, op_sorted_with_rank
 from helpers import (
     CUBE1,
     CUBE2,
@@ -18,7 +18,9 @@ from helpers import (
     TREE2,
     TREE3,
     perturbed_patterns,
+    random_arrow,
     random_operation,
+    reference_input_slots,
     reference_parse_operation,
     reference_validate,
     sort_key,
@@ -371,6 +373,19 @@ class TestRealize:
             (0, og.Box((1,), (1,))),
             (1, og.Box((0,), (0,))),
         )
+
+
+class TestInputSlots:
+    def test_the_flat_table_matches_one_bisection_per_coordinate(self):
+        for n, config in enumerate((TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3)):
+            rng = random.Random(900 + n)
+            arrows = [og.Arrow.identity(config, d) for d in (0, 1, 3)]
+            arrows += [
+                random_arrow(config, rng, coords=1 + i % 3, gens=rng.randrange(6))
+                for i in range(60)
+            ]
+            for a in arrows:
+                assert input_slots(a) == reference_input_slots(a), str(a)
 
 
 class TestCutTrees:

@@ -166,6 +166,57 @@ class TestSweepCap:
         assert og.sigma_span_report(TREE2, 10**9, -1).rows == ()
 
 
+class TestPingPongCap:
+    def test_the_closed_forms_count_the_rows(self):
+        for config, depths in ((TREE2, range(-1, 7)), (CUBE1, range(5)), (CUBE2, range(4))):
+            for depth in depths:
+                rows = og.pingpong_check(config, depth).rows
+                assert len(rows) == og.certificates._pingpong_rows(config, depth)
+        for max_len in range(-1, 9):
+            rows = og.alternating_words_nontrivial(TREE2, max_len).rows
+            assert len(rows) == og.certificates._alternating_word_rows(max_len)
+
+    def test_the_cap_holds_at_its_value(self, monkeypatch):
+        # depth 2: 3 balls in each half; words of length up to 3: 3 + 4 + 6
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", 9)
+        assert len(og.pingpong_check(TREE2, 2).rows) == 9
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", 13)
+        assert len(og.alternating_words_nontrivial(TREE2, 3).rows) == 13
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", 12)
+        with pytest.raises(og.ParseError, match="at least 13 alternating-word rows exceed the cap 12"):
+            og.alternating_words_nontrivial(TREE2, 3)
+        monkeypatch.setattr(og.certificates, "MAX_SWEEP_ROWS", 8)
+        with pytest.raises(og.ParseError, match="at least 9 ping-pong rows exceed the cap 8"):
+            og.pingpong_check(TREE2, 2)
+
+    def test_deeper_sweeps_are_refused_before_any_ball_or_word(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built past the cap")
+
+        monkeypatch.setattr(og.certificates, "pingpong_balls", unreachable)
+        monkeypatch.setattr(og.certificates, "_alternating_rows", unreachable)
+        message = f"rows exceed the cap {og.MAX_SWEEP_ROWS}"
+        for config in (TREE2, CUBE2):
+            for depth in (13, 10**9):
+                with pytest.raises(og.ParseError, match=message):
+                    og.pingpong_check(config, depth)
+        for max_len in (23, 10**9):
+            with pytest.raises(og.ParseError, match=message):
+                og.alternating_words_nontrivial(TREE2, max_len)
+        # together, neither count lets the other report be made first
+        for depth, max_len in ((2, 23), (13, 2)):
+            with pytest.raises(og.ParseError, match=message):
+                og.pingpong_reports(TREE2, depth, max_len)
+
+    def test_both_reports_under_the_cap(self):
+        reports = og.pingpong_reports(TREE2, 2, 3)
+        assert [(r.check, len(r.rows)) for r in reports] == [
+            ("pingpong", 9),
+            ("alternating_words", 13),
+        ]
+        assert [r.check for r in og.pingpong_reports(TREE2, 2, 0)] == ["pingpong"]
+
+
 class TestPaddedCertificates:
     def test_torsion_orders_survive_padding(self):
         assert og.sp_order(og.make_padded_gamma1(TREE2), 8) == 2

@@ -298,6 +298,22 @@ class TestSweepRowCap:
         assert time.perf_counter() - start < 10
 
 
+class TestPingPongCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cert", "pingpong", "--depth", "13"),
+            ("cert", "pingpong", "--depth", "1", "--max-len", "24"),
+            ("cert", "pingpong", "--depth", "12", "--max-len", "24"),
+        ],
+        ids=" ".join,
+    )
+    def test_a_sweep_past_the_cap_is_refused_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert_typed_exit(capsys, "E_PARSE", *argv)
+        assert time.perf_counter() - start < 10
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}

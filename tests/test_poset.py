@@ -6,7 +6,7 @@ import random
 import pytest
 
 import operad_groups as og
-from helpers import CUBE1, CUBE2, TREE2, TREE3, random_span
+from helpers import CUBE1, CUBE2, PLANAR2, TREE2, TREE3, random_span, reference_check_filtered
 
 
 class TestPredicates:
@@ -185,6 +185,26 @@ class TestCheckFiltered:
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row["ok"] and {"p", "q", "upper_bound"} <= set(row)
+
+    def test_one_upper_bound_per_pair_of_arrows(self, monkeypatch):
+        calls = []
+        refine = og.poset.refine_to_n
+
+        def counted(P, Q, y, n):
+            calls.append((P.rep.arrow, Q.rep.arrow))
+            return refine(P, Q, y, n)
+
+        monkeypatch.setattr(og.poset, "refine_to_n", counted)
+        for config, depth, expected in ((TREE2, 3, 15), (CUBE2, 2, 62)):
+            calls.clear()
+            report = og.check_filtered(og.enumerate_pn(config, 1, depth, 1, 1))
+            assert len(calls) == len(set(calls)) == expected
+            assert len(report.rows) > expected
+
+    def test_rows_match_the_pair_by_pair_loop(self):
+        for config, depth in ((TREE2, 2), (TREE2, 3), (PLANAR2, 3), (CUBE2, 2)):
+            T = og.enumerate_pn(config, 1, depth, 1, 1)
+            assert og.check_filtered(T).rows == reference_check_filtered(T)
 
     def test_the_pair_cap_holds_at_its_value(self, monkeypatch):
         T = og.enumerate_pn(TREE2, 1, 2, 1, 1)  # 8 classes, 28 pairs

@@ -1,9 +1,10 @@
 """The unit laws answered in closed form agree with the general paths.
 
 ``compose`` with a permutation arrow on either side, ``ma_subset`` with an
-identity leg, ``Arrow.is_identity`` and the n-condition each skip work that
-the identity already gives; here each is checked against the general
-construction it replaces, over random pools on every backend shape.
+identity leg, ``act`` on a class whose arrow is the identity,
+``Arrow.is_identity`` and the n-condition each skip work that the identity
+already gives; here each is checked against the general construction it
+replaces, over random pools on every backend shape.
 """
 
 import random
@@ -16,8 +17,10 @@ from helpers import (
     PLANAR2,
     TREE2,
     TREE3,
+    act_through_fill,
     random_arrow,
     random_marking,
+    random_span,
     reference_compose,
     reference_n_condition,
 )
@@ -102,6 +105,54 @@ class TestMaSubset:
                         str(x),
                         str(y),
                     )
+
+
+def outcome(f, *args):
+    """A result, or the type and text of the error raised instead."""
+    try:
+        return f(*args)
+    except og.OperadError as exc:
+        return type(exc), str(exc)
+
+
+class TestAct:
+    def test_an_identity_class_gives_the_filling_class(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(600 + n)
+            for i in range(60):
+                g = random_span(config, rng, coords=1 + i % 2)
+                # every third class sits over the other base length
+                base = g.base_len if i % 3 else 3 - g.base_len
+                identity = og.Arrow.identity(config, base)
+                S = og.SemiPartitionClass(
+                    og.MarkedArrow(identity, random_marking(config, rng, base))
+                )
+                assert outcome(og.act, g, S) == outcome(act_through_fill, g, S), (
+                    str(g),
+                    str(S),
+                )
+
+    def test_an_identity_class_builds_no_filling(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(700 + n)
+            og.square_fill.cache_clear()
+            for i in range(20):
+                g = random_span(config, rng, coords=1 + i % 2)
+                identity = og.Arrow.identity(config, g.base_len)
+                marking = random_marking(config, rng, g.base_len)
+                og.act(g, og.SemiPartitionClass(og.MarkedArrow(identity, marking)))
+            info = og.square_fill.cache_info()
+            assert info.hits + info.misses == 0
+
+    def test_other_classes_still_take_the_filling(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(800 + n)
+            for i, a in enumerate(pool(config, 50 + n)):
+                g = random_span(config, rng, coords=a.codomain_len)
+                S = og.SemiPartitionClass(
+                    og.MarkedArrow(a, random_marking(config, rng, a.domain_len))
+                )
+                assert og.act(g, S) == act_through_fill(g, S), (str(g), str(S))
 
 
 class TestNCondition:
