@@ -23,6 +23,9 @@ from .markings import (
     Marking,
     MarkedArrow,
     SemiPartitionClass,
+    _gather,
+    _normal_rep,
+    _scatter,
     pull_back,
     sp_class_eq,
     submultiballs,
@@ -41,15 +44,15 @@ def act(g: Span, S: SemiPartitionClass) -> SemiPartitionClass:
     pulled back through num.forest alone.  ``SemiPartitionClass`` moves the
     permutation into the marking: input i then carries the symbol of the
     output that num.perm(den.perm^-1(i)) feeds in num.forest, which is what
-    pulling back through all of num and then normalizing den.perm gives.
-    So (den, pull_back(num, marking)) has the same representative, and in
-    the planar flavor, where both permutations are the identity, it is the
-    same marked arrow.
+    gathering S's marking through all of num and then scattering it by
+    den.perm gives.  So the normalized representative is built directly:
+    den.forest, marked by that gather and scatter, relabeled once.
     """
     if g.config != S.config or g.base_len != S.base_len:
         raise BaseMismatchError("span and class live over different bases")
     if S.rep.arrow.is_identity():
-        return SemiPartitionClass(MarkedArrow(g.den, pull_back(g.num, S.rep.marking)))
+        symbols = _scatter(g.den.perm, _gather(g.num, S.rep.marking.symbols))
+        return SemiPartitionClass(_normal_rep(g.config, g.den.forest, symbols))
     b1, b2 = square_fill(g.num, S.rep.arrow)
     return SemiPartitionClass(
         MarkedArrow(compose(b1, g.den), pull_back(b2, S.rep.marking))

@@ -41,6 +41,13 @@ DYADIC_CUBE = "dyadic_cube"
 # huge base**exponent, and every printed result parses back.
 MAX_CELL_DEPTH = 256
 
+# The most cells one operation may have, given or computed.  A power of an
+# infinite-order element grows its legs with every step (the shift's n-th
+# power on tree:k=64 carries 63n + 64 cells per leg), and validating an
+# operation is quadratic in its arity, so MAX_EXPONENT alone does not bound
+# the time a power takes.
+MAX_OPERATION_CELLS = 4096
+
 # The largest k of a tree backend and d of a cube backend, so that no backend
 # name buys unbounded time: a single tree split has arity k and validating an
 # operation is quadratic in its arity, and cube enumerations range over all
@@ -294,6 +301,8 @@ def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
     base, dim = cfg.base, cfg.dim
     if not cells:
         raise NotPartitionError("an operation needs at least one cell")
+    if len(cells) > MAX_OPERATION_CELLS:
+        raise DepthError(f"{len(cells)} cells exceed the cap {MAX_OPERATION_CELLS}")
     for c in cells:
         if c.dim != dim:
             raise NotPartitionError(f"cell {c} has dimension {c.dim}, expected {dim}")

@@ -21,6 +21,7 @@ from .backend import (
     op_comb,
     op_compose,
     op_generator,
+    standard_cells,
 )
 from .category import Arrow, arrow_eq, compose, perm_arrow
 from .errors import (
@@ -97,12 +98,29 @@ def make_gamma2(config: BackendConfig) -> Span:
     return Span(den, Arrow(config, _cycle(tree.arity, 0, 1, 2).inverse(), (tree,)))
 
 
+def _pingpong_halves(config: BackendConfig) -> tuple[Box, Box]:
+    """The two generator cells the free subgroup plays between: the upper
+    and the lower half along axis 0."""
+    whole = Box.whole(config.dim)
+    return whole.child(0, 1, config.base), whole.child(0, 0, config.base)
+
+
 def pingpong_balls(config: BackendConfig):
     """The two generator-cell balls the free subgroup plays between."""
-    whole = Box.whole(config.dim)
-    b1 = ball_at(config, 1, 0, whole.child(0, 1, config.base))
-    b2 = ball_at(config, 1, 0, whole.child(0, 0, config.base))
-    return b1, b2
+    return tuple(ball_at(config, 1, 0, half) for half in _pingpong_halves(config))
+
+
+def _pingpong_pools(config: BackendConfig, depth: int) -> tuple[list, list]:
+    """The balls of cell depth at most the bound inside each half, in
+    ``all_balls`` order.  A ball lies in a ball of the same coordinate
+    exactly when its cell lies in the other's cell, so the pool is split by
+    ``Box.contains`` and no square is filled."""
+    base = config.base
+    cells = standard_cells(config, depth)
+    return tuple(
+        [ball_at(config, 1, 0, c) for c in cells if half.contains(c, base)]
+        for half in _pingpong_halves(config)
+    )
 
 
 def _pingpong_rows(config: BackendConfig, depth: int) -> int:
@@ -127,8 +145,6 @@ def _pingpong_rows(config: BackendConfig, depth: int) -> int:
 def pingpong_check(config: BackendConfig, depth: int) -> Report:
     """Table tennis inclusions for the free subgroup on the two balls.
     More than MAX_SWEEP_ROWS rows are refused before any ball is built."""
-    from .markings import all_balls
-
     if config.kind == KARY_TREE and config.size != 2:
         # the two balls must be complementary halves, as for k = 2 and cubes
         raise UnsupportedBackendError(
@@ -140,9 +156,7 @@ def pingpong_check(config: BackendConfig, depth: int) -> Report:
     g2sq = sp_mul(g2, g2)
     _refuse_past_cap(_pingpong_rows(config, depth), "ping-pong rows")
     B1, B2 = pingpong_balls(config)
-    pool = tuple(all_balls(config, 1, depth))
-    A1 = [b for b in pool if class_subset(b, B1)]
-    A2 = [b for b in pool if class_subset(b, B2)]
+    A1, A2 = _pingpong_pools(config, depth)
 
     def member(S: SemiPartitionClass, target: SemiPartitionClass) -> bool:
         return is_ball(S) and class_subset(S, target)
@@ -282,13 +296,14 @@ def _sweep_rows(config, max_perm_size, max_depth) -> int:
     return total
 
 
-def _perm_sweep(config, max_perm_size, max_depth, fixed, link):
+def _perm_sweep(config, max_perm_size, max_depth, probe, fixed, link):
     """One row per word length m in 2..max_perm_size, forest of m operations
     within the generator budget, and non-identity sigma of degree m.  Each
-    forest gets the identity and ``SWEEP_SAMPLES`` random input permutations
-    tau; the row fails with the first arrow alpha = (tau, forest) for which
-    ``fixed(alpha, sigma)`` holds.  More than MAX_SWEEP_ROWS rows are
-    refused before any is made."""
+    sigma's ``probe(config, sigma)`` is built once per length, before any
+    forest.  Each forest gets the identity and ``SWEEP_SAMPLES`` random
+    input permutations tau; the row fails with the first arrow
+    alpha = (tau, forest) for which ``fixed(alpha, probe)`` holds.  More
+    than MAX_SWEEP_ROWS rows are refused before any is made."""
     if max_depth < 0:
         return ()  # no forest fits a negative budget, at any length
     _refuse_past_cap(_sweep_rows(config, max_perm_size, max_depth), "sweep rows")
@@ -300,15 +315,16 @@ def _perm_sweep(config, max_perm_size, max_depth, fixed, link):
             for p in itertools.permutations(range(m))
             if p != tuple(range(m))
         ]
+        probes = [probe(config, sigma) for sigma in sigmas]
         for forest in forests_up_to(config, m, max_depth):
             base_arrow = Arrow.from_forest(config, forest)
             shown = str(base_arrow)
             variants = _sampled_perms(rng, base_arrow.domain_len, SWEEP_SAMPLES)
             alphas = [Arrow(config, tau, forest) for tau in variants]
-            for sigma in sigmas:
+            for sigma, sigma_probe in zip(sigmas, probes):
                 bad = None
                 for alpha in alphas:
-                    if fixed(alpha, sigma):
+                    if fixed(alpha, sigma_probe):
                         bad = str(alpha)
                         break
                 rows.append(
@@ -325,11 +341,31 @@ def free_action_check(config: BackendConfig, max_perm_size: int, max_depth: int)
     """Post-composing a non-identity permutation always changes an arrow."""
     _require_symmetric(config, "the free-action certificate")
 
-    def fixed(alpha, sigma):
-        return arrow_eq(compose(alpha, perm_arrow(config, sigma)), alpha)
+    def fixed(alpha, sigma_arrow):
+        return arrow_eq(compose(alpha, sigma_arrow), alpha)
 
-    rows = _perm_sweep(config, max_perm_size, max_depth, fixed, "after")
+    rows = _perm_sweep(config, max_perm_size, max_depth, perm_arrow, fixed, "after")
     return Report("free_action", rows)
+
+
+def _sigma_probe(config: BackendConfig, sigma: Permutation):
+    """What the sigma-span check needs of sigma alone: its permutation
+    arrow, and the ball at the first coordinate it moves (None when it
+    moves none)."""
+    moved = [j for j in range(sigma.degree) if sigma(j) != j]
+    ball = ball_at(config, sigma.degree, moved[0], Box.whole(config.dim)) if moved else None
+    return perm_arrow(config, sigma), ball
+
+
+def _sigma_span_trivial(alpha: Arrow, probe) -> bool:
+    """Both routes of ``sigma_span_check`` for one arrow and one probe."""
+    sigma_arrow, ball = probe
+    g = Span(alpha, compose(alpha, sigma_arrow))
+    algebraic = sp_is_identity(g)
+    geometric = True if ball is None else sp_class_eq(act(g, ball), ball)
+    if algebraic != geometric:
+        raise UnknownError("span arithmetic and ball movement disagree")
+    return algebraic
 
 
 def sigma_span_check(alpha: Arrow, sigma: Permutation) -> bool:
@@ -344,25 +380,15 @@ def sigma_span_check(alpha: Arrow, sigma: Permutation) -> bool:
             f"permutation of degree {sigma.degree} on a word of length "
             f"{alpha.codomain_len}"
         )
-    config = alpha.config
-    g = Span(alpha, compose(alpha, perm_arrow(config, sigma)))
-    algebraic = sp_is_identity(g)
-    moved = [j for j in range(sigma.degree) if sigma(j) != j]
-    if moved:
-        j = moved[0]
-        B = ball_at(config, sigma.degree, j, Box.whole(config.dim))
-        geometric = sp_class_eq(act(g, B), B)
-    else:
-        geometric = True
-    if algebraic != geometric:
-        raise UnknownError("span arithmetic and ball movement disagree")
-    return algebraic
+    return _sigma_span_trivial(alpha, _sigma_probe(alpha.config, sigma))
 
 
 def sigma_span_report(config: BackendConfig, max_perm_size: int, max_depth: int) -> Report:
-    """Exhaustive run: non-trivial permutations never give trivial spans."""
+    """Exhaustive run: non-trivial permutations never give trivial spans.
+    Both routes of ``sigma_span_check`` run for every arrow, with each
+    sigma's permutation arrow and ball built once."""
     _require_symmetric(config, "the sigma-span certificate")
-    rows = _perm_sweep(config, max_perm_size, max_depth, sigma_span_check, "on")
+    rows = _perm_sweep(config, max_perm_size, max_depth, _sigma_probe, _sigma_span_trivial, "on")
     return Report("sigma_span", rows)
 
 

@@ -35,8 +35,9 @@ class NotPartitionError(OperadError):
 
 
 class DepthError(OperadError):
-    """A cell of an operation, given or computed, is cut more than
-    MAX_CELL_DEPTH times; a literal past the cap is a parse error."""
+    """An operation, given or computed, has a cell cut more than
+    MAX_CELL_DEPTH times or more than MAX_OPERATION_CELLS cells; a literal
+    nested past the depth cap is a parse error."""
 
     code = "E_DEPTH"
 

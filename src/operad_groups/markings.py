@@ -22,7 +22,6 @@ from .backend import (
     PLANAR,
     _parse_int,
     cell_operation,
-    input_slots,
     op_identity,
     realize,
     standard_cells,
@@ -60,6 +59,14 @@ class Marking:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", _relabel(self.symbols))
+
+    @classmethod
+    def _trusted(cls, symbols: tuple) -> "Marking":
+        """A marking whose symbols are already 0..k-1 by first occurrence:
+        no relabel."""
+        marking = object.__new__(cls)
+        object.__setattr__(marking, "symbols", symbols)
+        return marking
 
     def __len__(self):
         return len(self.symbols)
@@ -128,16 +135,40 @@ def parse_marking(text: str) -> Marking:
     return Marking(tuple(entries[i] for i in range(len(entries))))
 
 
+def _gather(arrow: Arrow, symbols) -> tuple:
+    """Each domain coordinate of the arrow given the symbol of the output
+    it feeds: one symbol per input of the forest in slot order, read off
+    at ``perm.imgs``.  Not relabeled."""
+    slots = [s for s, op in zip(symbols, arrow.forest) for _ in op.cells]
+    return tuple(map(slots.__getitem__, arrow.perm.imgs))
+
+
+def _scatter(perm: Permutation, symbols) -> tuple:
+    """Move entry i to position perm(i).  Not relabeled."""
+    out = [None] * len(symbols)
+    for i, s in zip(perm.imgs, symbols):
+        out[i] = s
+    return tuple(out)
+
+
 def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
     """Transport a codomain marking to the domain: every input of an
-    operation inherits its output's symbol, routed through the permutation."""
+    operation inherits its output's symbol, routed through the permutation.
+
+    When the permutation is the identity the result needs no relabel: each
+    output's symbol then repeats once per input of its operation, in output
+    order, and no operation is empty, so the symbols first occur in the
+    comarking's order, which is already 0, 1, 2, ...
+    """
     if len(comarking) != arrow.codomain_len:
         raise LengthError(
             f"comarking of length {len(comarking)} on codomain of length "
             f"{arrow.codomain_len}"
         )
-    symbols = comarking.symbols
-    return Marking(tuple(symbols[j] for j, _ in input_slots(arrow)))
+    symbols = _gather(arrow, comarking.symbols)
+    if arrow.perm.is_identity():
+        return Marking._trusted(symbols)
+    return Marking(symbols)
 
 
 def marking_subset(m1: Marking, m2: Marking) -> bool:
@@ -145,9 +176,9 @@ def marking_subset(m1: Marking, m2: Marking) -> bool:
     all carry one common m2-symbol."""
     if len(m1) != len(m2):
         raise LengthError(f"markings of lengths {len(m1)} and {len(m2)}")
-    for symbol in range(m1.symbol_count):
-        images = {m2.symbols[i] for i in m1.support(symbol)}
-        if len(images) != 1 or None in images:
+    image = {}
+    for a, b in zip(m1.symbols, m2.symbols):
+        if a is not None and (b is None or image.setdefault(a, b) != b):
             return False
     return True
 
@@ -165,6 +196,14 @@ class MarkedArrow:
             )
         if self.arrow.config.flavor == PLANAR and not self.marking.is_ordered():
             raise FlavorError("planar markings must be ordered (contiguous symbols)")
+
+    @classmethod
+    def _trusted(cls, arrow: Arrow, marking: Marking) -> "MarkedArrow":
+        """A marked arrow known to pass both checks: no re-check."""
+        ma = object.__new__(cls)
+        object.__setattr__(ma, "arrow", arrow)
+        object.__setattr__(ma, "marking", marking)
+        return ma
 
     @property
     def config(self) -> BackendConfig:
@@ -223,6 +262,20 @@ def ma_subset(p: MarkedArrow, q: MarkedArrow) -> bool:
     return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
 
 
+def _normal_rep(config: BackendConfig, forest, symbols) -> MarkedArrow:
+    """The normalized representative: the forest under the identity
+    permutation, marked by the symbols relabeled once.
+
+    ``MarkedArrow``'s checks are skipped, because both callers pass as many
+    symbols as the forest has inputs, and ordered symbols in the planar
+    flavor.  Normalization scatters a checked marking by its arrow's
+    permutation, which a planar arrow never carries.  ``act``'s unit law
+    pulls an ordered marking back through planar arrows without
+    permutations, which repeats each symbol in one run.
+    """
+    return MarkedArrow._trusted(Arrow.from_forest(config, forest), Marking(symbols))
+
+
 @dataclass(frozen=True, slots=True)
 class SemiPartitionClass:
     """Equivalence class of marked arrows over a base word.
@@ -236,11 +289,10 @@ class SemiPartitionClass:
 
     def __post_init__(self):
         ma = self.rep
-        if not ma.arrow.perm.is_identity():
-            sigma_inv = ma.arrow.perm.inverse()
-            arrow = Arrow(ma.config, Permutation.identity(ma.arrow.domain_len), ma.arrow.forest)
-            marking = Marking(tuple(ma.marking.symbols[sigma_inv(i)] for i in range(len(ma.marking))))
-            object.__setattr__(self, "rep", MarkedArrow(arrow, marking))
+        perm = ma.arrow.perm
+        if not perm.is_identity():
+            symbols = _scatter(perm, ma.marking.symbols)
+            object.__setattr__(self, "rep", _normal_rep(ma.config, ma.arrow.forest, symbols))
 
     @property
     def config(self) -> BackendConfig:
@@ -261,7 +313,23 @@ class SemiPartitionClass:
 
 
 def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
-    return ma_subset(P.rep, Q.rep) and ma_subset(Q.rep, P.rep)
+    """Containment both ways.
+
+    Against an identity leg both ``ma_subset`` verdicts compare the same
+    two markings: the other class's marking, and the identity class's
+    marking pulled back through the other class's arrow.  So the pull-back
+    is made once.  Containment both ways between two markings of one word
+    says that they mark the same coordinates, split into the same blocks;
+    both are relabeled by first occurrence, so that is plain equality.
+    """
+    p, q = P.rep, Q.rep
+    if q.arrow.is_identity():
+        _require_same_base_ma(p, q)
+        return p.marking == pull_back(p.arrow, q.marking)
+    if p.arrow.is_identity():
+        _require_same_base_ma(p, q)
+        return pull_back(q.arrow, p.marking) == q.marking
+    return ma_subset(p, q) and ma_subset(q, p)
 
 
 def class_key(P: SemiPartitionClass) -> tuple:

@@ -233,8 +233,10 @@ def check_filtered(T: PosetTruncation) -> Report:
     more than MAX_POSET_PAIRS pairs are refused before any is refined.
 
     ``refine_to_n`` reads only the two representative arrows (and the
-    truncation's y and n), so it runs once per distinct pair of arrows;
-    the inclusions and the n-condition are still checked pair by pair."""
+    truncation's y and n), so it runs once per distinct pair of arrows.
+    The arrows are numbered once, and the bounds are keyed by those
+    numbers; the n-condition of a bound is checked once with it, and the
+    two inclusions pair by pair."""
     count = len(T.elements)
     pairs = count * (count - 1) // 2
     if pairs > MAX_POSET_PAIRS:
@@ -243,17 +245,16 @@ def check_filtered(T: PosetTruncation) -> Report:
         )
     rows = []
     shown = [str(P.rep) for P in T.elements]
-    bounds = {}  # (P's arrow, Q's arrow) -> (R, R printed)
+    numbers: dict = {}
+    arrow_of = [numbers.setdefault(P.rep.arrow, len(numbers)) for P in T.elements]
+    bounds = {}  # (P's arrow number, Q's) -> (R, R printed, R meets the n-condition)
     for (i, P), (j, Q) in itertools.combinations(enumerate(T.elements), 2):
-        key = (P.rep.arrow, Q.rep.arrow)
-        if key not in bounds:
+        key = (arrow_of[i], arrow_of[j])
+        bound = bounds.get(key)
+        if bound is None:
             R = refine_to_n(P, Q, T.y, T.n)
-            bounds[key] = R, str(R.rep)
-        R, shown_R = bounds[key]
-        ok = (
-            class_subset(R, P)
-            and class_subset(R, Q)
-            and n_condition(R, T.y, T.n)
-        )
+            bound = bounds[key] = R, str(R.rep), n_condition(R, T.y, T.n)
+        R, shown_R, meets = bound
+        ok = class_subset(R, P) and class_subset(R, Q) and meets
         rows.append({"p": shown[i], "q": shown[j], "upper_bound": shown_R, "ok": ok})
     return Report("filtered", tuple(rows))

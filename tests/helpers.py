@@ -9,6 +9,7 @@ volume and order of a cell live here, as references.
 """
 
 import itertools
+import random
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -620,4 +621,72 @@ def reference_check_filtered(T):
         R = og.refine_to_n(P, Q, T.y, T.n)
         ok = og.class_subset(R, P) and og.class_subset(R, Q) and og.n_condition(R, T.y, T.n)
         rows.append({"p": shown[i], "q": shown[j], "upper_bound": str(R.rep), "ok": ok})
+    return tuple(rows)
+
+
+def reference_pull_back(arrow, comarking):
+    """Reference pull-back: the output symbol of each input slot, looked up
+    through ``reference_input_slots``, relabeled by ``Marking``."""
+    if len(comarking) != arrow.codomain_len:
+        raise og.LengthError(
+            f"comarking of length {len(comarking)} on codomain of length "
+            f"{arrow.codomain_len}"
+        )
+    symbols = comarking.symbols
+    return og.Marking(tuple(symbols[j] for j, _ in reference_input_slots(arrow)))
+
+
+def reference_marking_subset(m1, m2):
+    """Reference containment: one support scan per symbol of m1."""
+    if len(m1) != len(m2):
+        raise og.LengthError(f"markings of lengths {len(m1)} and {len(m2)}")
+    for symbol in range(m1.symbol_count):
+        images = {m2.symbols[i] for i in m1.support(symbol)}
+        if len(images) != 1 or None in images:
+            return False
+    return True
+
+
+def reference_normalize(ma):
+    """Reference normalization of a class representative: rebuild the arrow
+    with the identity permutation, read the marking through the inverse
+    permutation, and check the marked arrow again."""
+    if ma.arrow.perm.is_identity():
+        return ma
+    sigma_inv = ma.arrow.perm.inverse()
+    arrow = og.Arrow(ma.config, og.Permutation.identity(ma.arrow.domain_len), ma.arrow.forest)
+    marking = og.Marking(tuple(ma.marking.symbols[sigma_inv(i)] for i in range(len(ma.marking))))
+    return og.MarkedArrow(arrow, marking)
+
+
+def reference_sp_class_eq(P, Q):
+    """Reference class equality: ``ma_subset`` both ways."""
+    return og.ma_subset(P.rep, Q.rep) and og.ma_subset(Q.rep, P.rep)
+
+
+def reference_pingpong_pools(config, depth):
+    """Reference ping-pong pools: every ball of the pool that
+    ``class_subset`` puts in each of the two balls."""
+    B1, B2 = og.pingpong_balls(config)
+    pool = tuple(og.all_balls(config, 1, depth))
+    return [b for b in pool if og.class_subset(b, B1)], [b for b in pool if og.class_subset(b, B2)]
+
+
+def reference_sigma_span_rows(config, max_perm_size, max_depth):
+    """Reference sigma-span rows: the sweep of ``sigma_span_report`` with one
+    public ``sigma_span_check`` call per arrow and sigma."""
+    certificates = og.certificates
+    rng = random.Random(certificates.SWEEP_SEED)
+    rows = []
+    for m in range(2, max_perm_size + 1):
+        sigmas = [og.Permutation(p) for p in itertools.permutations(range(m)) if p != tuple(range(m))]
+        for forest in og.forests_up_to(config, m, max_depth):
+            base_arrow = og.Arrow.from_forest(config, forest)
+            variants = certificates._sampled_perms(rng, base_arrow.domain_len, certificates.SWEEP_SAMPLES)
+            alphas = [og.Arrow(config, tau, forest) for tau in variants]
+            for sigma in sigmas:
+                bad = next((str(a) for a in alphas if og.sigma_span_check(a, sigma)), None)
+                rows.append(
+                    {"instance": f"{sigma} on {base_arrow}", "ok": bad is None, "witness": bad or ""}
+                )
     return tuple(rows)

@@ -1,9 +1,20 @@
 """Torsion, infinite-order, ping-pong, free-action, and padded certificates."""
 
+import itertools
+
 import pytest
 
 import operad_groups as og
-from helpers import CUBE1, CUBE2, PLANAR2, TREE2, TREE3
+from helpers import (
+    CUBE1,
+    CUBE2,
+    CUBE3,
+    PLANAR2,
+    TREE2,
+    TREE3,
+    reference_pingpong_pools,
+    reference_sigma_span_rows,
+)
 
 
 class TestTorsionElements:
@@ -63,6 +74,11 @@ class TestPingPong:
         assert report.ok
         assert len(report.rows) == 9
         assert all(row["ok"] for row in report.rows)
+
+    def test_halves_split_the_pool_as_containment_does(self):
+        for config, depth in ((TREE2, 6), (CUBE1, 4), (CUBE2, 4), (CUBE3, 4)):
+            pools = og.certificates._pingpong_pools(config, depth)
+            assert pools == tuple(reference_pingpong_pools(config, depth)), (str(config), depth)
 
     def test_rows_name_their_instances(self):
         report = og.pingpong_check(TREE2, 1)
@@ -138,6 +154,60 @@ class TestSigmaSpans:
 
     def test_cube_report(self):
         assert og.sigma_span_report(CUBE2, 2, 1).ok
+
+    def test_rows_match_one_check_per_arrow_and_sigma(self):
+        for config, max_perm, depth in ((TREE2, 3, 2), (TREE3, 3, 1), (CUBE2, 3, 1)):
+            rows = og.sigma_span_report(config, max_perm, depth).rows
+            assert rows == reference_sigma_span_rows(config, max_perm, depth), str(config)
+
+
+class TestSweepProbes:
+    """``cert sigma --max-perm 4 --depth 3`` on tree:k=2 builds each
+    non-identity sigma's arrow and ball once: 1 + 5 + 23 sigmas."""
+
+    SIGMAS = [
+        og.Permutation(p)
+        for m in (2, 3, 4)
+        for p in itertools.permutations(range(m))
+        if p != tuple(range(m))
+    ]
+
+    @staticmethod
+    def wrap(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_one_permutation_arrow_and_one_ball_per_sigma(self, monkeypatch):
+        arrows, balls = [], []
+        self.wrap(monkeypatch, og.certificates, "perm_arrow", arrows)
+        self.wrap(monkeypatch, og.certificates, "ball_at", balls)
+        assert og.sigma_span_report(TREE2, 4, 3).ok
+        assert len(self.SIGMAS) == 29
+        assert [sigma for _, sigma in arrows] == self.SIGMAS
+        assert [(m, j) for _, m, j, _ in balls] == [
+            (sigma.degree, next(j for j in range(sigma.degree) if sigma(j) != j))
+            for sigma in self.SIGMAS
+        ]
+
+    def test_one_pull_back_per_identity_leg_class_equality(self, monkeypatch):
+        pulls, identity_legs = [], []
+        self.wrap(monkeypatch, og.markings, "pull_back", pulls)
+        sp_class_eq = og.certificates.sp_class_eq
+
+        def counted(P, Q):
+            if P.rep.arrow.is_identity() or Q.rep.arrow.is_identity():
+                identity_legs.append((P, Q))
+            return sp_class_eq(P, Q)
+
+        monkeypatch.setattr(og.certificates, "sp_class_eq", counted)
+        report = og.sigma_span_report(TREE2, 4, 3)
+        assert identity_legs and len(pulls) == len(identity_legs)
+        assert len(report.rows) <= len(identity_legs) <= 3 * len(report.rows)
 
 
 class TestSweepCap:

@@ -161,6 +161,31 @@ class TestComputedDepthCap:
             og.op_compose(cube_comb, 0, og.op_generator(CUBE2, 1))
 
 
+class TestOperationCellCap:
+    TREE64 = og.BackendConfig.tree(64)
+
+    def test_the_cap_holds_at_its_value(self):
+        # a k-ary comb of g generators has (k - 1)g + 1 cells: 4096 at g = 65
+        cap = og.MAX_OPERATION_CELLS
+        comb = og.op_comb(self.TREE64, 65)
+        assert comb.arity == cap
+        assert og.Operation(self.TREE64, comb.cells) == comb
+        message = f"{cap + 63} cells exceed the cap {cap}"
+        with pytest.raises(og.DepthError, match=message):
+            og.op_compose(comb, 0, og.op_generator(self.TREE64))
+        # given cells are counted before they are checked to tile
+        with pytest.raises(og.DepthError, match=message):
+            og.Operation(self.TREE64, comb.cells + comb.cells[:63])
+
+    @pytest.mark.parametrize("argv", [("cert", "infinite", "--max-n", "256"), ("elem", "pow", None, "256")])
+    def test_long_powers_are_refused_quickly(self, capsys, argv):
+        shift = og.format_span(og.make_infinite_element(self.TREE64))
+        argv = tuple(shift if a is None else a for a in argv)
+        t0 = time.perf_counter()
+        assert_typed_exit(capsys, "E_DEPTH", "--backend", "tree:k=64", *argv)
+        assert time.perf_counter() - t0 < 10
+
+
 class TestPowerCap:
     def test_powers_up_to_the_cap(self, capsys):
         cap = og.MAX_EXPONENT

@@ -1,0 +1,137 @@
+"""The marking layer's one gather and one scatter agree with the references
+they replace.
+
+``pull_back``, ``marking_subset``, the normalization of class
+representatives and ``sp_class_eq`` against an identity leg are each
+checked against the slower construction kept in ``tests/helpers.py``: the
+same result, or the same typed error, over random arrows and markings on
+every backend shape at base lengths 1 and 2.
+"""
+
+import random
+
+import operad_groups as og
+from helpers import (
+    CUBE1,
+    CUBE2,
+    CUBE3,
+    PLANAR2,
+    TREE2,
+    TREE3,
+    random_arrow,
+    random_marking,
+    reference_marking_subset,
+    reference_normalize,
+    reference_pull_back,
+    reference_sp_class_eq,
+)
+
+CONFIGS = (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3)
+BASES = (1, 2)
+
+
+def outcome(f, *args):
+    """A result, or the error code and text raised instead."""
+    try:
+        return f(*args)
+    except og.OperadError as exc:
+        return exc.code, str(exc)
+
+
+def arrows(config, seed, count=40):
+    """Random arrows into base words of lengths 1 and 2."""
+    rng = random.Random(seed)
+    return [
+        random_arrow(config, rng, coords=BASES[i % 2], gens=rng.randrange(4))
+        for i in range(count)
+    ]
+
+
+class TestPullBack:
+    def test_matches_the_slot_by_slot_reference(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(900 + n)
+            for i, a in enumerate(arrows(config, 90 + n)):
+                # every fourth comarking has the wrong length
+                length = a.codomain_len + (1 if i % 4 == 0 else 0)
+                m = random_marking(config, rng, length)
+                got = outcome(og.pull_back, a, m)
+                assert got == outcome(reference_pull_back, a, m), (str(a), str(m))
+
+    def test_an_identity_permutation_needs_no_relabel(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(910 + n)
+            for a in arrows(config, 91 + n):
+                plain = og.Arrow.from_forest(config, a.forest)
+                m = random_marking(config, rng, a.codomain_len)
+                pulled = og.pull_back(plain, m)
+                assert pulled.symbols == og.Marking(pulled.symbols).symbols
+
+
+class TestMarkingSubset:
+    def test_matches_the_per_symbol_reference(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(920 + n)
+            for i in range(200):
+                length = rng.randrange(1, 7)
+                m1 = random_marking(config, rng, length)
+                # every tenth pair has different lengths; every third
+                # second marking is the first coarsened, so both verdicts occur
+                if i % 10 == 0:
+                    m2 = random_marking(config, rng, length + 1)
+                elif i % 3 == 0:
+                    m2 = og.Marking(tuple(None if s is None else s // 2 for s in m1.symbols))
+                else:
+                    m2 = random_marking(config, rng, length)
+                for x, y in ((m1, m2), (m2, m1), (m1, m1)):
+                    got = outcome(og.marking_subset, x, y)
+                    assert got == outcome(reference_marking_subset, x, y), (str(x), str(y))
+
+
+class TestNormalization:
+    def test_matches_the_rebuilt_representative(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(930 + n)
+            for a in arrows(config, 93 + n):
+                ma = og.MarkedArrow(a, random_marking(config, rng, a.domain_len))
+                assert og.SemiPartitionClass(ma).rep == reference_normalize(ma), str(ma)
+
+
+class TestClassEquality:
+    def test_an_identity_leg_gives_the_two_subset_verdict(self):
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(940 + n)
+            for i, a in enumerate(arrows(config, 94 + n)):
+                # every fifth identity class sits over the other base length
+                base = a.codomain_len if i % 5 else 3 - a.codomain_len
+                Q = og.SemiPartitionClass(
+                    og.MarkedArrow(og.Arrow.identity(config, base), random_marking(config, rng, base))
+                )
+                # half of the classes are Q's marking pulled back, so equal to Q
+                if i % 2 and base == a.codomain_len:
+                    marking = og.pull_back(a, Q.rep.marking)
+                else:
+                    marking = random_marking(config, rng, a.domain_len)
+                P = og.SemiPartitionClass(og.MarkedArrow(a, marking))
+                for x, y in ((P, Q), (Q, P), (Q, Q)):
+                    got = outcome(og.sp_class_eq, x, y)
+                    assert got == outcome(reference_sp_class_eq, x, y), (str(x), str(y))
+
+    def test_an_identity_leg_pulls_back_once(self, monkeypatch):
+        calls = []
+        pull_back = og.markings.pull_back
+
+        def counted(*args):
+            calls.append(args)
+            return pull_back(*args)
+
+        monkeypatch.setattr(og.markings, "pull_back", counted)
+        rng = random.Random(950)
+        for a in arrows(TREE2, 95):
+            identity = og.Arrow.identity(TREE2, a.codomain_len)
+            Q = og.SemiPartitionClass(og.MarkedArrow(identity, random_marking(TREE2, rng, a.codomain_len)))
+            P = og.SemiPartitionClass(og.MarkedArrow(a, random_marking(TREE2, rng, a.domain_len)))
+            for x, y in ((P, Q), (Q, P)):
+                calls.clear()
+                og.sp_class_eq(x, y)
+                assert len(calls) == 1

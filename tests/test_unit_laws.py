@@ -132,6 +132,21 @@ class TestAct:
                     str(S),
                 )
 
+    def test_the_sweeps_identity_classes_give_the_filling_class(self):
+        # balls at a whole coordinate and trivial partitions, as the
+        # certificates and the poset build them, over bases of 1 to 3
+        for n, config in enumerate(CONFIGS):
+            rng = random.Random(650 + n)
+            whole = og.Box.whole(config.dim)
+            for base in (1, 2, 3):
+                classes = [og.trivial_partition(config, base)]
+                classes += [og.ball_at(config, base, j, whole) for j in range(base)]
+                for _ in range(10):
+                    g = random_span(config, rng, coords=base)
+                    for S in classes:
+                        assert S.rep.arrow.is_identity()
+                        assert og.act(g, S) == act_through_fill(g, S), (str(g), str(S))
+
     def test_an_identity_class_builds_no_filling(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(700 + n)
