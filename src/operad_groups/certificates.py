@@ -27,14 +27,14 @@ from .category import Arrow, arrow_eq, compose, perm_arrow
 from .errors import (
     FlavorError,
     NotSplitError,
-    ParseError,
     SizeMismatchError,
     UnknownError,
     UnsupportedBackendError,
+    refuse_past,
 )
 from .markings import SemiPartitionClass, ball_at, class_subset, is_ball, sp_class_eq
 from .perms import Permutation
-from .poset import is_split
+from .poset import _comb_gens_for_arity, is_split
 from .report import Report
 from .spans import Span, check_exponent, format_span, sp_is_identity, sp_mul, sp_order
 from .action import act
@@ -46,11 +46,6 @@ from .action import act
 # alternating words every two steps of --max-len.  Each count stops past
 # the cap.
 MAX_SWEEP_ROWS = 20_000
-
-
-def _refuse_past_cap(total: int, what: str):
-    if total > MAX_SWEEP_ROWS:
-        raise ParseError(f"at least {total} {what} exceed the cap {MAX_SWEEP_ROWS}")
 
 
 def _require_symmetric(config: BackendConfig, what: str):
@@ -91,9 +86,7 @@ def make_gamma2(config: BackendConfig) -> Span:
     if not is_split(config, 1):
         raise NotSplitError("torsion certificates need a split base")
     _require_symmetric(config, "the order-3 certificate")
-    tree = op_generator(config)
-    while tree.arity < 3:
-        tree = op_compose(tree, 0, op_generator(config))
+    tree = op_comb(config, _comb_gens_for_arity(config, 3))
     den = Arrow.from_forest(config, (tree,))
     return Span(den, Arrow(config, _cycle(tree.arity, 0, 1, 2).inverse(), (tree,)))
 
@@ -113,33 +106,29 @@ def pingpong_balls(config: BackendConfig):
 def _pingpong_pools(config: BackendConfig, depth: int) -> tuple[list, list]:
     """The balls of cell depth at most the bound inside each half, in
     ``all_balls`` order.  A ball lies in a ball of the same coordinate
-    exactly when its cell lies in the other's cell, so the pool is split by
-    ``Box.contains`` and no square is filled."""
+    exactly when its cell lies in the other's cell, and the cells of depth
+    at most D inside a half are the cells of depth at most D-1 moved into
+    it.  The move is monotone on axis 0 and the identity on the others, so
+    it keeps the order, and no square is filled."""
     base = config.base
-    cells = standard_cells(config, depth)
+    cells = standard_cells(config, depth - 1)
     return tuple(
-        [ball_at(config, 1, 0, c) for c in cells if half.contains(c, base)]
+        [ball_at(config, 1, 0, c.inside(half, base)) for c in cells]
         for half in _pingpong_halves(config)
     )
 
 
-def _pingpong_rows(config: BackendConfig, depth: int) -> int:
-    """The rows of ``pingpong_check``, |A2| + 2|A1|, counted up to just
-    past MAX_SWEEP_ROWS.
+def _pingpong_rows(config: BackendConfig, depth: int):
+    """The rows of ``pingpong_check``, |A2| + 2|A1|, one count per cell
+    depth t below the bound.
 
-    A standard cell lies in one of the two balls exactly when it is cut at
-    least once along axis 0, and then it lies in the one its first cut
-    along axis 0 picks.  An exponent vector of total t carries 2^t cells,
-    and C(t+d-2, d-1) vectors of total t have a positive first entry; half
-    of the cells of each of these lie in each ball.
+    Each pool holds the standard cells of depth below the bound, moved
+    into its half, so the rows are 3 times those cells.  An exponent
+    vector of total t carries 2^t cells, and C(t+d-1, d-1) vectors have
+    total t.
     """
     dim = config.dim
-    per_ball = 0
-    for t in range(1, depth + 1):
-        per_ball += (1 << (t - 1)) * math.comb(t + dim - 2, dim - 1)
-        if 3 * per_ball > MAX_SWEEP_ROWS:
-            break
-    return 3 * per_ball
+    return (3 * (1 << t) * math.comb(t + dim - 1, dim - 1) for t in range(depth))
 
 
 def pingpong_check(config: BackendConfig, depth: int) -> Report:
@@ -154,7 +143,7 @@ def pingpong_check(config: BackendConfig, depth: int) -> Report:
     g1 = make_gamma1(config)
     g2 = make_gamma2(config)
     g2sq = sp_mul(g2, g2)
-    _refuse_past_cap(_pingpong_rows(config, depth), "ping-pong rows")
+    refuse_past(_pingpong_rows(config, depth), MAX_SWEEP_ROWS, "ping-pong rows")
     B1, B2 = pingpong_balls(config)
     A1, A2 = _pingpong_pools(config, depth)
 
@@ -209,22 +198,20 @@ def _alternating_rows(g1: Span, g2: Span, max_len: int, rows: list):
     extend("", None, True, 0)
 
 
-def _alternating_word_rows(max_len: int) -> int:
-    """The reduced alternating words of length 1..max_len, counted up to
-    just past MAX_SWEEP_ROWS: a word of length L starting with g1 has
-    floor(L/2) syllables of two choices, one starting with g2 ceil(L/2)."""
-    total = 0
-    for length in range(1, max_len + 1):
-        total += (1 << (length // 2)) + (1 << ((length + 1) // 2))
-        if total > MAX_SWEEP_ROWS:
-            break
-    return total
+def _alternating_word_rows(max_len: int):
+    """The reduced alternating words, one count per length 1..max_len: a
+    word of length L starting with g1 has floor(L/2) syllables of two
+    choices, one starting with g2 ceil(L/2)."""
+    return (
+        (1 << (length // 2)) + (1 << ((length + 1) // 2))
+        for length in range(1, max_len + 1)
+    )
 
 
 def alternating_words_nontrivial(config: BackendConfig, max_len: int) -> Report:
     """No reduced alternating word in the two torsion elements collapses.
     More than MAX_SWEEP_ROWS words are refused before any is multiplied."""
-    _refuse_past_cap(_alternating_word_rows(max_len), "alternating-word rows")
+    refuse_past(_alternating_word_rows(max_len), MAX_SWEEP_ROWS, "alternating-word rows")
     rows: list = []
     _alternating_rows(make_gamma1(config), make_gamma2(config), max_len, rows)
     return Report("alternating_words", tuple(rows))
@@ -235,7 +222,7 @@ def pingpong_reports(config: BackendConfig, depth: int, max_len: int) -> tuple:
     max_len is positive.  Each row count is checked before either report
     is made: a word count past the cap before any ball is built, and the
     ball count by ``pingpong_check`` before any word is multiplied."""
-    _refuse_past_cap(_alternating_word_rows(max_len), "alternating-word rows")
+    refuse_past(_alternating_word_rows(max_len), MAX_SWEEP_ROWS, "alternating-word rows")
     reports = (pingpong_check(config, depth),)
     if max_len > 0:
         reports += (alternating_words_nontrivial(config, max_len),)
@@ -284,18 +271,6 @@ SWEEP_SAMPLES = 2
 SWEEP_SEED = 0
 
 
-def _sweep_rows(config, max_perm_size, max_depth) -> int:
-    """The rows of a sweep, counted up to just past MAX_SWEEP_ROWS."""
-    total = 0
-    for m in range(2, max_perm_size + 1):
-        sigmas = math.factorial(m) - 1
-        for _ in forests_up_to(config, m, max_depth):
-            total += sigmas
-            if total > MAX_SWEEP_ROWS:
-                return total
-    return total
-
-
 def _perm_sweep(config, max_perm_size, max_depth, probe, fixed, link):
     """One row per word length m in 2..max_perm_size, forest of m operations
     within the generator budget, and non-identity sigma of degree m.  Each
@@ -306,7 +281,12 @@ def _perm_sweep(config, max_perm_size, max_depth, probe, fixed, link):
     than MAX_SWEEP_ROWS rows are refused before any is made."""
     if max_depth < 0:
         return ()  # no forest fits a negative budget, at any length
-    _refuse_past_cap(_sweep_rows(config, max_perm_size, max_depth), "sweep rows")
+    rows_per_forest = (
+        math.factorial(m) - 1
+        for m in range(2, max_perm_size + 1)
+        for _ in forests_up_to(config, m, max_depth)
+    )
+    refuse_past(rows_per_forest, MAX_SWEEP_ROWS, "sweep rows")
     rng = random.Random(SWEEP_SEED)
     rows = []
     for m in range(2, max_perm_size + 1):

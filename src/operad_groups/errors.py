@@ -22,6 +22,16 @@ class ParseError(OperadError):
     code = "E_PARSE"
 
 
+def refuse_past(counts, cap: int, what: str):
+    """Sum the counts in order and refuse at the first total past the cap,
+    pulling no further count: the one refusal of every lazily counted cap."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > cap:
+            raise ParseError(f"at least {total} {what} exceed the cap {cap}")
+
+
 class SlotRangeError(OperadError):
     """An input-slot index lies outside the arity of an operation."""
 

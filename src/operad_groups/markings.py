@@ -332,17 +332,44 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     return ma_subset(p, q) and ma_subset(q, p)
 
 
+def _varies_along(here, axis: int, base: int) -> bool:
+    """Whether the labelling of the box these cells tile varies along the
+    axis: two cells with different labels overlap on every other axis.
+    Both cells meet the box and standard cells are laminar per axis, so a
+    common point of their cross-sections lies in the box's cross-section,
+    and the line along the axis through it meets both cells in the box."""
+    cut = [
+        (Box(c.exps[:axis] + c.exps[axis + 1 :], c.offs[:axis] + c.offs[axis + 1 :]), s)
+        for c, s in here
+    ]
+    return any(
+        s != t and p.meet(q, base) is not None
+        for (p, s), (q, t) in itertools.combinations(cut, 2)
+    )
+
+
 def class_key(P: SemiPartitionClass) -> tuple:
     """Canonical hashable key: equal exactly when sp_class_eq holds.
 
     Containment both ways maps each symbol's region onto one region of
     the other class, so two classes are equal exactly when they mark the
     same regions of every base coordinate up to renaming the symbols.  The
-    key describes that labelling: per base coordinate, the trie of maximal
-    uniformly labelled cells under a fixed split rule (k-ary for trees; for
-    cubes, halve the axis of smallest exponent, the lowest such axis on
-    ties).  A leaf is its label (None for unmarked), an inner node the
-    tuple of its children; symbols are renamed by first occurrence.
+    key describes that labelling: per base coordinate, a trie of boxes.  A
+    box of uniform label is a leaf, the label (None for unmarked).  Any
+    other box is split into base slices along the lowest axis along which
+    its labelling varies, and is the node ``(axis, child, ...)``.  Axes
+    0 .. dim-2 are tested with ``_varies_along``; when none varies, the
+    last axis must, and it is not scanned, so trees test no pair.  Symbols
+    are renamed by first occurrence.
+
+    The key is canonical: whether a box is uniform, and its split axis,
+    are read off the labelling of the box alone, not off the cells that
+    carry it, so every representative of a class grows the same trie with
+    the same leaves in the same order.  Conversely the trie, with its
+    axes, gives back the labelling.  The recursion ends, as a split axis
+    always has a cell cut finer than the box along it.  The trie grows with
+    the labelling, not with the dimension: a ball cut once keys in 3 nodes
+    for every d.
     """
     base, dim = P.config.base, P.config.dim
     items = [[] for _ in range(P.base_len)]
@@ -355,7 +382,7 @@ def class_key(P: SemiPartitionClass) -> tuple:
         if len(labels) == 1:  # also the case of one cell containing the box
             s = labels.pop()
             return None if s is None else names.setdefault(s, len(names))
-        axis = min(range(dim), key=lambda i: box.exps[i])
+        axis = next((a for a in range(dim - 1) if _varies_along(here, a, base)), dim - 1)
         e = box.exps[axis]
         groups = [[] for _ in range(base)]
         for cell, s in here:
@@ -365,7 +392,7 @@ def class_key(P: SemiPartitionClass) -> tuple:
                     group.append((cell, s))
             else:
                 groups[cell.offs[axis] // base ** (ce - e - 1) % base].append((cell, s))
-        return tuple(
+        return (axis,) + tuple(
             node(box.child(axis, digit, base), group) for digit, group in enumerate(groups)
         )
 

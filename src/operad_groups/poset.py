@@ -28,6 +28,7 @@ from .errors import (
     NotSplitError,
     ParseError,
     UnknownError,
+    refuse_past,
 )
 from .markings import (
     Marking,
@@ -187,19 +188,14 @@ def _full_marking_count(config: BackendConfig, arity: int) -> int:
     return row[0]
 
 
-def _candidate_count(config: BackendConfig, base: int, depth: int) -> int:
-    """The full markings over every forest, counted up to just past
-    MAX_PARTITION_CANDIDATES."""
+def _candidate_counts(config: BackendConfig, base: int, depth: int):
+    """The full markings of each forest in turn."""
     if depth >= 0 and _full_marking_count(config, base) > MAX_PARTITION_CANDIDATES:
         # the first forest holds identities only, of arity ``base``: a base
-        # past the cap on its own is answered before any forest is built
-        return MAX_PARTITION_CANDIDATES + 1
-    total = 0
+        # past the cap on its own is refused before any forest is built
+        yield MAX_PARTITION_CANDIDATES + 1
     for forest in forests_up_to(config, base, depth):
-        total += _full_marking_count(config, sum(len(op.cells) for op in forest))
-        if total > MAX_PARTITION_CANDIDATES:
-            break
-    return total
+        yield _full_marking_count(config, sum(len(op.cells) for op in forest))
 
 
 def enumerate_pn(
@@ -208,12 +204,11 @@ def enumerate_pn(
     """All n-condition partitions within a generator budget, deduplicated:
     the first candidate in printed order stands for its class.  More than
     MAX_PARTITION_CANDIDATES full markings are refused before any is built."""
-    total = _candidate_count(config, base, depth)
-    if total > MAX_PARTITION_CANDIDATES:
-        raise ParseError(
-            f"at least {total} partition candidates exceed the cap "
-            f"{MAX_PARTITION_CANDIDATES}"
-        )
+    refuse_past(
+        _candidate_counts(config, base, depth),
+        MAX_PARTITION_CANDIDATES,
+        "partition candidates",
+    )
     candidates = []
     for forest in forests_up_to(config, base, depth):
         arrow = Arrow.from_forest(config, forest)

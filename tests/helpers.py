@@ -690,3 +690,36 @@ def reference_sigma_span_rows(config, max_perm_size, max_depth):
                     {"instance": f"{sigma} on {base_arrow}", "ok": bad is None, "witness": bad or ""}
                 )
     return tuple(rows)
+
+
+def reference_class_key(P):
+    """Reference class key: the trie of uniformly labelled cells under the
+    old split rule, k-ary for trees and, for cubes, halve the axis of
+    smallest exponent (the lowest on ties).  The split axis is a function
+    of the box, so it is not recorded; the trie has 2^(d+1) - 1 nodes for
+    a ball cut once along the last axis, so use it for d <= 3 only."""
+    base, dim = P.config.base, P.config.dim
+    items = [[] for _ in range(P.base_len)]
+    for (j, cell), s in zip(og.realize(P.rep.arrow), P.rep.marking.symbols):
+        items[j].append((cell, s))
+    names = {}
+
+    def node(box, here):
+        labels = {s for _, s in here}
+        if len(labels) == 1:
+            s = labels.pop()
+            return None if s is None else names.setdefault(s, len(names))
+        axis = min(range(dim), key=lambda i: box.exps[i])
+        e = box.exps[axis]
+        groups = [[] for _ in range(base)]
+        for cell, s in here:
+            ce = cell.exps[axis]
+            if ce <= e:
+                for group in groups:
+                    group.append((cell, s))
+            else:
+                groups[cell.offs[axis] // base ** (ce - e - 1) % base].append((cell, s))
+        return tuple(node(box.child(axis, digit, base), group) for digit, group in enumerate(groups))
+
+    whole = og.Box.whole(dim)
+    return tuple(node(whole, here) for here in items)

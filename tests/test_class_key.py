@@ -18,6 +18,7 @@ from helpers import (
     grid_eq,
     random_arrow,
     random_span,
+    reference_class_key,
 )
 
 CONFIGS = (TREE2, TREE3, PLANAR2, CUBE2, CUBE3)
@@ -77,6 +78,28 @@ class TestClassKey:
                             str(P),
                             str(pool[j]),
                         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_the_old_split_rule_induces_the_same_equality(self, seed):
+        rng = random.Random(seed)
+        for config in CONFIGS:
+            for base_len in (1, 2):
+                pool = class_pool(config, rng, base_len)
+                keys = [og.class_key(P) for P in pool]
+                old = [reference_class_key(P) for P in pool]
+                for i in range(len(pool)):
+                    for j in range(i, len(pool)):
+                        assert (keys[i] == keys[j]) == (old[i] == old[j]), (
+                            str(pool[i]),
+                            str(pool[j]),
+                        )
+
+    def test_a_ball_cut_once_keys_in_three_nodes_for_every_dim(self):
+        for dim in (1, 2, 3, 8, 64):
+            config = og.BackendConfig.cube(dim)
+            cell = og.Box((0,) * (dim - 1) + (1,), (0,) * (dim - 1) + (1,))
+            assert og.class_key(og.ball_at(config, 1, 0, cell)) == ((dim - 1, None, 0),)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**30))

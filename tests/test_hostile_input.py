@@ -339,6 +339,62 @@ class TestPingPongCap:
         assert time.perf_counter() - start < 10
 
 
+class TestWideCubeClassKeys:
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (("--backend", "cube:d=20", "partition", "list", "--depth", "1"), 21),
+            (("--backend", "cube:d=64", "partition", "list", "--depth", "1"), 65),
+            (("--backend", "cube:d=16", "partition", "list", "--depth", "2"), 1073),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_wide_cubes_answer_quickly(self, capsys, argv, lines):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert len(out.splitlines()) == lines
+        assert time.perf_counter() - start < 10
+
+
+class TestOneRefusalPath:
+    def test_a_total_at_the_cap_passes(self):
+        og.errors.refuse_past([3, 4, 3], 10, "rows")
+        og.errors.refuse_past([], 0, "rows")
+
+    def test_one_past_the_cap_is_refused(self):
+        with pytest.raises(og.ParseError) as info:
+            og.errors.refuse_past([3, 4, 4], 10, "rows")
+        assert str(info.value) == "E_PARSE: at least 11 rows exceed the cap 10"
+
+    def test_nothing_is_pulled_past_the_cap(self):
+        def counts():
+            yield 5
+            yield 6
+            raise AssertionError("pulled past the cap")
+
+        with pytest.raises(og.ParseError, match="at least 11 rows exceed the cap 10"):
+            og.errors.refuse_past(counts(), 10, "rows")
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (og.sigma_span_report, (TREE2, 7, 1)),
+            (og.free_action_check, (TREE2, 8, 1)),
+            (og.pingpong_check, (CUBE2, 13)),
+            (og.alternating_words_nontrivial, (TREE2, 23)),
+            (og.pingpong_reports, (TREE2, 2, 23)),
+            (og.enumerate_pn, (TREE2, 1, 6, 1, 1)),
+            (og.enumerate_pn, (TREE2, 5000, 0, 1, 1)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or " ".join(map(str, v)),
+    )
+    def test_every_counted_cap_refuses_through_the_helper(self, call, args):
+        with pytest.raises(og.ParseError, match="exceed the cap") as info:
+            call(*args)
+        assert info.traceback[-1].name == "refuse_past"
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}
