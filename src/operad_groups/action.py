@@ -23,9 +23,6 @@ from .markings import (
     Marking,
     MarkedArrow,
     SemiPartitionClass,
-    _gather,
-    _normal_rep,
-    _scatter,
     pull_back,
     sp_class_eq,
     submultiballs,
@@ -38,21 +35,14 @@ def act(g: Span, S: SemiPartitionClass) -> SemiPartitionClass:
     """Transport a class through a span; independent of the filling chosen.
 
     A class whose representative arrow is the identity is answered by the
-    unit law without filling.  There the filling of (num, id) is
-    (perm_arrow(num.perm^-1), from_forest(num.forest)), so the transported
-    arrow is (num.perm^-1 * den.perm, den.forest) and the marking is S's,
-    pulled back through num.forest alone.  ``SemiPartitionClass`` moves the
-    permutation into the marking: input i then carries the symbol of the
-    output that num.perm(den.perm^-1(i)) feeds in num.forest, which is what
-    gathering S's marking through all of num and then scattering it by
-    den.perm gives.  So the normalized representative is built directly:
-    den.forest, marked by that gather and scatter, relabeled once.
+    unit law without filling: the filling of (num, id) adds only a
+    permutation, which the class absorbs into its marking, so the result is
+    den marked by S's marking pulled back through num.
     """
     if g.config != S.config or g.base_len != S.base_len:
         raise BaseMismatchError("span and class live over different bases")
     if S.rep.arrow.is_identity():
-        symbols = _scatter(g.den.perm, _gather(g.num, S.rep.marking.symbols))
-        return SemiPartitionClass(_normal_rep(g.config, g.den.forest, symbols))
+        return SemiPartitionClass(MarkedArrow(g.den, pull_back(g.num, S.rep.marking)))
     b1, b2 = square_fill(g.num, S.rep.arrow)
     return SemiPartitionClass(
         MarkedArrow(compose(b1, g.den), pull_back(b2, S.rep.marking))

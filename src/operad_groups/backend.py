@@ -94,12 +94,6 @@ class BackendConfig:
         """Subdivision base per axis: k for trees, 2 for cubes."""
         return self.size if self.kind == KARY_TREE else 2
 
-    def gens_of_arity(self, arity: int) -> int:
-        """Generator count of an operation of the given arity."""
-        if self.kind == KARY_TREE:
-            return (arity - 1) // (self.size - 1)
-        return arity - 1
-
     def __str__(self):
         return f"tree:k={self.size}" if self.kind == KARY_TREE else f"cube:d={self.size}"
 
@@ -274,10 +268,6 @@ class Operation:
     def arity(self) -> int:
         return len(self.cells)
 
-    @property
-    def gens(self) -> int:
-        return self.config.gens_of_arity(self.arity)
-
     def is_identity(self) -> bool:
         return self.arity == 1
 
@@ -443,7 +433,6 @@ def op_compose(outer: Operation, slot: int, inner: Operation) -> Operation:
     return op_subst(outer, inners)
 
 
-@functools.lru_cache(maxsize=256)
 def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
     """Iterated basic splits, always refining the first (or last) slot."""
     op = op_identity(config)

@@ -202,12 +202,10 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     compose(b1, a1) and compose(b2, a2) agree, both being the identity
     permutation over the coordinate-wise common refinement.
 
-    Against an identity leg the filling is the unit law: the other leg's
-    inverse permutation and its forest.  Otherwise each filling is read
-    off the refinement of each codomain coordinate j: domain coordinate i
-    of a leg sits in slot t of that leg's operation at j, and input s of
-    its filling operation phi_j[t] is the refinement cell at rank
-    pi_j(g + s), where g is the grafting position of phi_j[t].  The
+    Each filling is read off the refinement of each codomain coordinate j:
+    domain coordinate i of a leg sits in slot t of that leg's operation at
+    j, and input s of its filling operation phi_j[t] is the refinement cell
+    at rank pi_j(g + s), where g is the grafting position of phi_j[t].  The
     composite sends that input to r_start[j] + pi_j(g + s) and is the
     identity, so the filling's permutation is the inverse of that list.
     """
@@ -218,10 +216,6 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
             f"codomain lengths {a1.codomain_len} and {a2.codomain_len} differ"
         )
     config = a1.config
-    if a2.is_identity():
-        return perm_arrow(config, a1.perm.inverse()), Arrow.from_forest(config, a1.forest)
-    if a1.is_identity():
-        return Arrow.from_forest(config, a2.forest), perm_arrow(config, a2.perm.inverse())
     refinements = [op_common_refinement(op1, op2) for op1, op2 in zip(a1.forest, a2.forest)]
     r_starts = block_starts([len(r.cells) for r, *_ in refinements])
 

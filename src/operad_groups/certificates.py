@@ -424,15 +424,7 @@ def padded_certificates_check(config: BackendConfig, max_n: int = 16) -> Report:
             "witness": "3",
         },
     ]
-    g = make_padded_infinite(config)
-    power = g
-    trivial_at = None
-    for n in range(1, max_n + 1):
-        if sp_is_identity(power):
-            trivial_at = n
-            break
-        if n < max_n:
-            power = sp_mul(power, g)
+    trivial_at = sp_order(make_padded_infinite(config), max_n)
     rows.append(
         {
             "instance": f"padded infinite element, powers to {max_n}",

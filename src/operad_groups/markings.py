@@ -10,7 +10,6 @@ preorder computed through square fillings.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -24,9 +23,10 @@ from .backend import (
     cell_operation,
     op_identity,
     realize,
+    split_top_level,
     standard_cells,
 )
-from .category import Arrow, compose, square_fill
+from .category import Arrow, arrow_eq, compose, parse_arrow, square_fill
 from .errors import (
     BaseMismatchError,
     FlavorError,
@@ -35,7 +35,6 @@ from .errors import (
     NotMultiballError,
     ParseError,
 )
-from .perms import Permutation
 
 
 def _relabel(values) -> tuple:
@@ -135,25 +134,11 @@ def parse_marking(text: str) -> Marking:
     return Marking(tuple(entries[i] for i in range(len(entries))))
 
 
-def _gather(arrow: Arrow, symbols) -> tuple:
-    """Each domain coordinate of the arrow given the symbol of the output
-    it feeds: one symbol per input of the forest in slot order, read off
-    at ``perm.imgs``.  Not relabeled."""
-    slots = [s for s, op in zip(symbols, arrow.forest) for _ in op.cells]
-    return tuple(map(slots.__getitem__, arrow.perm.imgs))
-
-
-def _scatter(perm: Permutation, symbols) -> tuple:
-    """Move entry i to position perm(i).  Not relabeled."""
-    out = [None] * len(symbols)
-    for i, s in zip(perm.imgs, symbols):
-        out[i] = s
-    return tuple(out)
-
-
 def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
     """Transport a codomain marking to the domain: every input of an
-    operation inherits its output's symbol, routed through the permutation.
+    operation inherits its output's symbol, routed through the permutation:
+    one symbol per input of the forest in slot order, read off at
+    ``perm.imgs``.
 
     When the permutation is the identity the result needs no relabel: each
     output's symbol then repeats once per input of its operation, in output
@@ -165,7 +150,8 @@ def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
             f"comarking of length {len(comarking)} on codomain of length "
             f"{arrow.codomain_len}"
         )
-    symbols = _gather(arrow, comarking.symbols)
+    slots = [s for s, op in zip(comarking.symbols, arrow.forest) for _ in op.cells]
+    symbols = tuple(map(slots.__getitem__, arrow.perm.imgs))
     if arrow.perm.is_identity():
         return Marking._trusted(symbols)
     return Marking(symbols)
@@ -197,14 +183,6 @@ class MarkedArrow:
         if self.arrow.config.flavor == PLANAR and not self.marking.is_ordered():
             raise FlavorError("planar markings must be ordered (contiguous symbols)")
 
-    @classmethod
-    def _trusted(cls, arrow: Arrow, marking: Marking) -> "MarkedArrow":
-        """A marked arrow known to pass both checks: no re-check."""
-        ma = object.__new__(cls)
-        object.__setattr__(ma, "arrow", arrow)
-        object.__setattr__(ma, "marking", marking)
-        return ma
-
     @property
     def config(self) -> BackendConfig:
         return self.arrow.config
@@ -218,9 +196,6 @@ class MarkedArrow:
 
 
 def parse_marked_arrow(text: str, config: BackendConfig) -> MarkedArrow:
-    from .backend import split_top_level
-    from .category import parse_arrow
-
     parts = split_top_level(text, "@")
     if len(parts) != 2:
         raise ParseError(f"a marked arrow literal is 'arrow @ marking', got {text!r}")
@@ -235,45 +210,16 @@ def _require_same_base_ma(p: MarkedArrow, q: MarkedArrow):
 def ma_subset_with(p: MarkedArrow, q: MarkedArrow, filling) -> bool:
     """Refinement verdict through an explicit square filling (b1, b2)."""
     b1, b2 = filling
-    from .category import arrow_eq
-
     if not arrow_eq(compose(b1, p.arrow), compose(b2, q.arrow)):
         raise NotFillingsError("the given pair does not fill the cospan")
     return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
 
 
 def ma_subset(p: MarkedArrow, q: MarkedArrow) -> bool:
-    """The preorder on marked arrows; any square filling gives this verdict.
-
-    Against an identity leg no filling is built.  When q.arrow is the
-    identity, the unit-law filling is the permutation arrow of p.perm's
-    inverse and the bare forest of p.arrow.  Through it p's marking and q's
-    marking pulled back through p.arrow both reach the filling's domain
-    renumbered by p.perm, and ``marking_subset`` does not change when both
-    markings are renumbered the same way.  So it is asked of those two
-    markings directly, and symmetrically when p.arrow is the identity.
-    """
+    """The preorder on marked arrows; any square filling gives this verdict."""
     _require_same_base_ma(p, q)
-    if q.arrow.is_identity():
-        return marking_subset(p.marking, pull_back(p.arrow, q.marking))
-    if p.arrow.is_identity():
-        return marking_subset(pull_back(q.arrow, p.marking), q.marking)
     b1, b2 = square_fill(p.arrow, q.arrow)
     return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
-
-
-def _normal_rep(config: BackendConfig, forest, symbols) -> MarkedArrow:
-    """The normalized representative: the forest under the identity
-    permutation, marked by the symbols relabeled once.
-
-    ``MarkedArrow``'s checks are skipped, because both callers pass as many
-    symbols as the forest has inputs, and ordered symbols in the planar
-    flavor.  Normalization scatters a checked marking by its arrow's
-    permutation, which a planar arrow never carries.  ``act``'s unit law
-    pulls an ordered marking back through planar arrows without
-    permutations, which repeats each symbol in one run.
-    """
-    return MarkedArrow._trusted(Arrow.from_forest(config, forest), Marking(symbols))
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,8 +237,9 @@ class SemiPartitionClass:
         ma = self.rep
         perm = ma.arrow.perm
         if not perm.is_identity():
-            symbols = _scatter(perm, ma.marking.symbols)
-            object.__setattr__(self, "rep", _normal_rep(ma.config, ma.arrow.forest, symbols))
+            arrow = Arrow.from_forest(ma.config, ma.arrow.forest)
+            marking = Marking(perm.permute(ma.marking.symbols))
+            object.__setattr__(self, "rep", MarkedArrow(arrow, marking))
 
     @property
     def config(self) -> BackendConfig:
@@ -321,14 +268,14 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     is made once.  Containment both ways between two markings of one word
     says that they mark the same coordinates, split into the same blocks;
     both are relabeled by first occurrence, so that is plain equality.
+    Equality is symmetric, so an identity p is swapped to the right.
     """
     p, q = P.rep, Q.rep
-    if q.arrow.is_identity():
-        _require_same_base_ma(p, q)
-        return p.marking == pull_back(p.arrow, q.marking)
+    _require_same_base_ma(p, q)
     if p.arrow.is_identity():
-        _require_same_base_ma(p, q)
-        return pull_back(q.arrow, p.marking) == q.marking
+        p, q = q, p
+    if q.arrow.is_identity():
+        return p.marking == pull_back(p.arrow, q.marking)
     return ma_subset(p, q) and ma_subset(q, p)
 
 
@@ -473,7 +420,6 @@ def trivial_partition(config: BackendConfig, n: int) -> SemiPartitionClass:
     )
 
 
-@functools.lru_cache(maxsize=8192)
 def ball_at(config: BackendConfig, base_len: int, coord: int, cell: Box) -> SemiPartitionClass:
     """The ball sitting at a standard cell of one codomain coordinate."""
     forest = [op_identity(config)] * base_len

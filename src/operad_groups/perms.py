@@ -62,8 +62,8 @@ class Permutation:
         if len(items) != self.degree:
             raise SizeMismatchError(f"{len(items)} items under degree-{self.degree} permutation")
         out = [None] * self.degree
-        for i, item in enumerate(items):
-            out[self.imgs[i]] = item
+        for i, item in zip(self.imgs, items):
+            out[i] = item
         return type(items)(out)
 
     def __str__(self):

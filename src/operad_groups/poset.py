@@ -19,6 +19,7 @@ from .backend import (
     forests_up_to,
     input_slots,
     op_comb,
+    op_generator,
     op_identity,
 )
 from .category import Arrow, compose, square_fill
@@ -55,8 +56,6 @@ MAX_PARTITION_CANDIDATES = 50_000
 
 def is_split(config: BackendConfig, x: int) -> bool:
     """A word splits when it is nonempty and some operation has arity >= 2."""
-    from .backend import op_generator
-
     return x >= 1 and op_generator(config).arity >= 2
 
 

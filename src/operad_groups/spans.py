@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import BackendConfig
-from .category import Arrow, arrow_eq, compose, realize, square_fill, tensor
+from .backend import BackendConfig, split_top_level
+from .category import Arrow, arrow_eq, compose, parse_arrow, realize, square_fill, tensor
 from .errors import BaseMismatchError, ParseError, SizeMismatchError
 
 # The largest exponent a power or an order search may ask for.  Each step is
@@ -134,9 +134,6 @@ def format_span(g: Span) -> str:
 
 
 def parse_span(text: str, config: BackendConfig) -> Span:
-    from .backend import split_top_level
-    from .category import parse_arrow
-
     parts = split_top_level(text, "|")
     if len(parts) != 2:
         raise ParseError(f"a span literal is 'den | num', got {text!r}")

@@ -57,6 +57,13 @@ def _commands():
         # the heavy permutation sweeps of the benchmark's session
         ["cert", "sigma", "--max-perm", "4", "--depth", "3"],
         ["cert", "freeaction", "--max-perm", "4", "--depth", "3"],
+        # act on an identity-arrow class, in both flavors and on a cube
+        ["act", SHIFT, ". @ m[0:a]"],
+        ["--flavor", "planar", "act", SHIFT, ". @ m[0:a]"],
+        ["--backend", "cube:d=2", "act", "p[1,0] ; [0 . .] | [1 . .]", ". @ m[0:a]"],
+        # power bounds that stop the padded infinite element's loop early
+        ["cert", "padded", "--max-n", "0"],
+        ["cert", "padded", "--max-n", "1"],
     ]
     return out
 

@@ -1,11 +1,12 @@
 """The marking layer's one gather and one scatter agree with the references
 they replace.
 
-``pull_back``, ``marking_subset``, the normalization of class
-representatives and ``sp_class_eq`` against an identity leg are each
-checked against the slower construction kept in ``tests/helpers.py``: the
-same result, or the same typed error, over random arrows and markings on
-every backend shape at base lengths 1 and 2.
+``pull_back`` (the gather), ``marking_subset``, the normalization of
+class representatives (one scatter by ``Permutation.permute``) and
+``sp_class_eq`` against an identity leg are each checked against the
+slower construction kept in ``tests/helpers.py``: the same result, or the
+same typed error, over random arrows and markings on every backend shape
+at base lengths 1 and 2.
 """
 
 import random

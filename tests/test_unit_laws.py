@@ -1,10 +1,11 @@
 """The unit laws answered in closed form agree with the general paths.
 
-``compose`` with a permutation arrow on either side, ``ma_subset`` with an
-identity leg, ``act`` on a class whose arrow is the identity,
-``Arrow.is_identity`` and the n-condition each skip work that the identity
-already gives; here each is checked against the general construction it
-replaces, over random pools on every backend shape.
+``compose`` with a permutation arrow on either side, ``act`` on a class
+whose arrow is the identity, ``Arrow.is_identity`` and the n-condition each
+skip work that the identity already gives; here each is checked against the
+general construction it replaces, over random pools on every backend shape.
+``ma_subset`` takes its one general path on an identity leg too, and is
+checked there against ``ma_subset_with``.
 """
 
 import random
