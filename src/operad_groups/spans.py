@@ -110,13 +110,15 @@ def sp_pow(g: Span, n: int) -> Span:
 
 
 def sp_order(g: Span, max_n: int) -> int | None:
-    """Least exponent up to the bound killing g, if any."""
+    """Least exponent up to the bound killing g, if any.  The n-th power is
+    tested as made, and no power past the bound is made."""
     check_exponent(max_n, "order bound")
-    acc = sp_identity(g.config, g.base_len)
+    acc = g
     for n in range(1, max_n + 1):
-        acc = sp_mul(acc, g)
         if sp_is_identity(acc):
             return n
+        if n < max_n:
+            acc = sp_mul(acc, g)
     return None
 
 

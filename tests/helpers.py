@@ -672,24 +672,56 @@ def reference_pingpong_pools(config, depth):
     return [b for b in pool if og.class_subset(b, B1)], [b for b in pool if og.class_subset(b, B2)]
 
 
-def reference_sigma_span_rows(config, max_perm_size, max_depth):
-    """Reference sigma-span rows: the sweep of ``sigma_span_report`` with one
-    public ``sigma_span_check`` call per arrow and sigma."""
-    certificates = og.certificates
-    rng = random.Random(certificates.SWEEP_SEED)
+# input permutations tau sampled per forest by the reference sweeps, beside
+# the identity, and the seed they are drawn from
+SWEEP_SAMPLES = 2
+SWEEP_SEED = 0
+
+
+def _sampled_inputs(rng, degree):
+    """The identity, then SWEEP_SAMPLES random input permutations."""
+    perms = [og.Permutation.identity(degree)]
+    for _ in range(SWEEP_SAMPLES):
+        imgs = list(range(degree))
+        rng.shuffle(imgs)
+        perms.append(og.Permutation(tuple(imgs)))
+    return perms
+
+
+def _reference_perm_sweep(config, max_perm_size, max_depth, fixed, link):
+    """The rows of a permutation sweep, checking every forest under the
+    identity and sampled input permutations tau: a row fails with the first
+    alpha = (tau, forest) that sigma fixes.  The kernel checks the identity
+    alone, so equal rows show that tau does not change a verdict."""
+    rng = random.Random(SWEEP_SEED)
     rows = []
     for m in range(2, max_perm_size + 1):
         sigmas = [og.Permutation(p) for p in itertools.permutations(range(m)) if p != tuple(range(m))]
         for forest in og.forests_up_to(config, m, max_depth):
             base_arrow = og.Arrow.from_forest(config, forest)
-            variants = certificates._sampled_perms(rng, base_arrow.domain_len, certificates.SWEEP_SAMPLES)
-            alphas = [og.Arrow(config, tau, forest) for tau in variants]
+            alphas = [og.Arrow(config, tau, forest) for tau in _sampled_inputs(rng, base_arrow.domain_len)]
             for sigma in sigmas:
-                bad = next((str(a) for a in alphas if og.sigma_span_check(a, sigma)), None)
+                bad = next((str(a) for a in alphas if fixed(a, sigma)), None)
                 rows.append(
-                    {"instance": f"{sigma} on {base_arrow}", "ok": bad is None, "witness": bad or ""}
+                    {"instance": f"{sigma} {link} {base_arrow}", "ok": bad is None, "witness": bad or ""}
                 )
     return tuple(rows)
+
+
+def reference_sigma_span_rows(config, max_perm_size, max_depth):
+    """Reference sigma-span rows: the sweep of ``sigma_span_report`` with one
+    public ``sigma_span_check`` call per sampled arrow and sigma."""
+    return _reference_perm_sweep(config, max_perm_size, max_depth, og.sigma_span_check, "on")
+
+
+def reference_free_action_rows(config, max_perm_size, max_depth):
+    """Reference free-action rows: the sweep of ``free_action_check``, each
+    sampled arrow composed with sigma's permutation arrow and compared."""
+
+    def fixed(alpha, sigma):
+        return og.arrow_eq(og.compose(alpha, og.perm_arrow(config, sigma)), alpha)
+
+    return _reference_perm_sweep(config, max_perm_size, max_depth, fixed, "after")
 
 
 def reference_class_key(P):

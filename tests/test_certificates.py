@@ -12,9 +12,21 @@ from helpers import (
     PLANAR2,
     TREE2,
     TREE3,
+    reference_free_action_rows,
     reference_pingpong_pools,
     reference_sigma_span_rows,
 )
+
+
+def wrap(monkeypatch, module, name, calls):
+    """Record the arguments of every call to ``module.name`` in ``calls``."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 class TestTorsionElements:
@@ -31,6 +43,20 @@ class TestTorsionElements:
         assert og.sp_order(g2, 8) == 3
         assert og.sp_order(og.make_gamma2(TREE3), 8) == 3
         assert og.sp_order(og.make_gamma2(CUBE2), 8) == 3
+
+    def test_order_makes_one_product_per_power_past_the_first(self, monkeypatch):
+        # the n-th power is tested as made, and none past the bound is made
+        products = []
+        wrap(monkeypatch, og.spans, "sp_mul", products)
+        for g, max_n, order, made in (
+            (og.make_gamma1(TREE2), 4, 2, 1),
+            (og.make_gamma2(TREE2), 4, 3, 2),
+            (og.make_infinite_element(TREE2), 6, None, 5),
+            (og.make_infinite_element(TREE2), 0, None, 0),
+        ):
+            products.clear()
+            assert og.sp_order(g, max_n) == order
+            assert len(products) == made, (og.format_span(g), max_n)
 
     def test_requires_the_symmetric_flavor(self):
         with pytest.raises(ValueError):
@@ -126,6 +152,11 @@ class TestFreeAction:
     def test_reproducible(self):
         assert og.free_action_check(TREE2, 3, 2).rows == og.free_action_check(TREE2, 3, 2).rows
 
+    def test_rows_match_one_check_per_arrow_and_sigma(self):
+        for config, max_perm, depth in ((TREE2, 3, 2), (TREE3, 3, 1), (CUBE2, 3, 1)):
+            rows = og.free_action_check(config, max_perm, depth).rows
+            assert rows == reference_free_action_rows(config, max_perm, depth), str(config)
+
 
 class TestSigmaSpans:
     def test_identity_permutation_gives_the_identity_span(self):
@@ -172,20 +203,10 @@ class TestSweepProbes:
         if p != tuple(range(m))
     ]
 
-    @staticmethod
-    def wrap(monkeypatch, module, name, calls):
-        original = getattr(module, name)
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
     def test_one_permutation_arrow_and_one_ball_per_sigma(self, monkeypatch):
         arrows, balls = [], []
-        self.wrap(monkeypatch, og.certificates, "perm_arrow", arrows)
-        self.wrap(monkeypatch, og.certificates, "ball_at", balls)
+        wrap(monkeypatch, og.certificates, "perm_arrow", arrows)
+        wrap(monkeypatch, og.certificates, "ball_at", balls)
         assert og.sigma_span_report(TREE2, 4, 3).ok
         assert len(self.SIGMAS) == 29
         assert [sigma for _, sigma in arrows] == self.SIGMAS
@@ -196,7 +217,7 @@ class TestSweepProbes:
 
     def test_one_pull_back_per_identity_leg_class_equality(self, monkeypatch):
         pulls, identity_legs = [], []
-        self.wrap(monkeypatch, og.markings, "pull_back", pulls)
+        wrap(monkeypatch, og.markings, "pull_back", pulls)
         sp_class_eq = og.certificates.sp_class_eq
 
         def counted(P, Q):
@@ -207,7 +228,16 @@ class TestSweepProbes:
         monkeypatch.setattr(og.certificates, "sp_class_eq", counted)
         report = og.sigma_span_report(TREE2, 4, 3)
         assert identity_legs and len(pulls) == len(identity_legs)
-        assert len(report.rows) <= len(identity_legs) <= 3 * len(report.rows)
+        assert len(identity_legs) == len(report.rows)
+
+    def test_one_compose_per_row(self, monkeypatch):
+        # one arrow per forest: the input permutation cannot change a row
+        composites = []
+        wrap(monkeypatch, og.certificates, "compose", composites)
+        for check in (og.sigma_span_report, og.free_action_check):
+            composites.clear()
+            rows = check(TREE2, 4, 3).rows
+            assert len(composites) == len(rows) == 1768, check.__name__
 
 
 class TestSweepCap:

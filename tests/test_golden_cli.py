@@ -57,6 +57,11 @@ def _commands():
         # the heavy permutation sweeps of the benchmark's session
         ["cert", "sigma", "--max-perm", "4", "--depth", "3"],
         ["cert", "freeaction", "--max-perm", "4", "--depth", "3"],
+        # every row of the permutation sweeps on a wider tree and on a cube
+        ["--json", "--backend", "tree:k=3", "cert", "sigma", "--max-perm", "4", "--depth", "2"],
+        ["--json", "--backend", "tree:k=3", "cert", "freeaction", "--max-perm", "4", "--depth", "2"],
+        ["--json", "--backend", "cube:d=2", "cert", "sigma", "--max-perm", "3", "--depth", "2"],
+        ["--json", "--backend", "cube:d=2", "cert", "freeaction", "--max-perm", "4", "--depth", "2"],
         # act on an identity-arrow class, in both flavors and on a cube
         ["act", SHIFT, ". @ m[0:a]"],
         ["--flavor", "planar", "act", SHIFT, ". @ m[0:a]"],
