@@ -134,11 +134,17 @@ def parse_marking(text: str) -> Marking:
     return Marking(tuple(entries[i] for i in range(len(entries))))
 
 
+def _gather(arrow: Arrow, symbols: tuple) -> tuple:
+    """The pulled-back symbol tuple, not relabeled: one symbol per input of
+    the forest in slot order, its output's symbol, read off at
+    ``perm.imgs``.  The symbols must cover the codomain."""
+    slots = [s for s, op in zip(symbols, arrow.forest) for _ in op.cells]
+    return tuple(map(slots.__getitem__, arrow.perm.imgs))
+
+
 def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
     """Transport a codomain marking to the domain: every input of an
-    operation inherits its output's symbol, routed through the permutation:
-    one symbol per input of the forest in slot order, read off at
-    ``perm.imgs``.
+    operation inherits its output's symbol, routed through the permutation.
 
     When the permutation is the identity the result needs no relabel: each
     output's symbol then repeats once per input of its operation, in output
@@ -150,11 +156,20 @@ def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
             f"comarking of length {len(comarking)} on codomain of length "
             f"{arrow.codomain_len}"
         )
-    slots = [s for s, op in zip(comarking.symbols, arrow.forest) for _ in op.cells]
-    symbols = tuple(map(slots.__getitem__, arrow.perm.imgs))
+    symbols = _gather(arrow, comarking.symbols)
     if arrow.perm.is_identity():
         return Marking._trusted(symbols)
     return Marking(symbols)
+
+
+def _symbols_subset(s1: tuple, s2: tuple) -> bool:
+    """One pass over two symbol tuples of one length: each s1-symbol's
+    coordinates all carry one common s2-symbol."""
+    image = {}
+    for a, b in zip(s1, s2):
+        if a is not None and (b is None or image.setdefault(a, b) != b):
+            return False
+    return True
 
 
 def marking_subset(m1: Marking, m2: Marking) -> bool:
@@ -162,11 +177,7 @@ def marking_subset(m1: Marking, m2: Marking) -> bool:
     all carry one common m2-symbol."""
     if len(m1) != len(m2):
         raise LengthError(f"markings of lengths {len(m1)} and {len(m2)}")
-    image = {}
-    for a, b in zip(m1.symbols, m2.symbols):
-        if a is not None and (b is None or image.setdefault(a, b) != b):
-            return False
-    return True
+    return _symbols_subset(m1.symbols, m2.symbols)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,10 +227,17 @@ def ma_subset_with(p: MarkedArrow, q: MarkedArrow, filling) -> bool:
 
 
 def ma_subset(p: MarkedArrow, q: MarkedArrow) -> bool:
-    """The preorder on marked arrows; any square filling gives this verdict."""
+    """The preorder on marked arrows; any square filling gives this verdict.
+
+    It is ``ma_subset_with`` through ``square_fill``, decided on the two
+    gathered symbol tuples without building a ``Marking``.  ``pull_back``
+    would only rename each side's symbols one-to-one, keeping ``None``,
+    which does not change whether a symbol map exists; and both tuples
+    have the filling's domain length, so no length check is needed.
+    """
     _require_same_base_ma(p, q)
     b1, b2 = square_fill(p.arrow, q.arrow)
-    return marking_subset(pull_back(b1, p.marking), pull_back(b2, q.marking))
+    return _symbols_subset(_gather(b1, p.marking.symbols), _gather(b2, q.marking.symbols))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,8 +324,11 @@ def class_key(P: SemiPartitionClass) -> tuple:
     other box is split into base slices along the lowest axis along which
     its labelling varies, and is the node ``(axis, child, ...)``.  Axes
     0 .. dim-2 are tested with ``_varies_along``; when none varies, the
-    last axis must, and it is not scanned, so trees test no pair.  Symbols
-    are renamed by first occurrence.
+    last axis must, and it is not scanned, so trees test no pair.  Only an
+    axis along which some cell is cut finer than the box is tested: along
+    any other every cell spans the box, so two cells overlapping on the
+    other axes would overlap each other, and the labelling cannot vary.
+    Symbols are renamed by first occurrence.
 
     The key is canonical: whether a box is uniform, and its split axis,
     are read off the labelling of the box alone, not off the cells that
@@ -329,7 +350,15 @@ def class_key(P: SemiPartitionClass) -> tuple:
         if len(labels) == 1:  # also the case of one cell containing the box
             s = labels.pop()
             return None if s is None else names.setdefault(s, len(names))
-        axis = next((a for a in range(dim - 1) if _varies_along(here, a, base)), dim - 1)
+        axis = next(
+            (
+                a
+                for a in range(dim - 1)
+                if any(cell.exps[a] > box.exps[a] for cell, _ in here)
+                and _varies_along(here, a, base)
+            ),
+            dim - 1,
+        )
         e = box.exps[axis]
         groups = [[] for _ in range(base)]
         for cell, s in here:

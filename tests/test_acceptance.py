@@ -8,6 +8,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 import operad_groups as og
 from helpers import (
     CUBE1,
@@ -99,6 +101,7 @@ def test_criterion_05_group_axioms_and_grid_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_marked_arrow_calculus():
     expected_counts = {TREE2: 192, CUBE1: 192, CUBE2: 742}
     problems = []

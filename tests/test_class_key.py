@@ -1,6 +1,7 @@
 """The canonical class key and the structural identity test against their
-references: class_key agrees with sp_class_eq, and sp_is_identity agrees
-with sp_eq against the identity and with the grid oracle."""
+references: class_key agrees with sp_class_eq and tests only the axes that
+some cell cuts (pinned by counts), and sp_is_identity agrees with sp_eq
+against the identity and with the grid oracle."""
 
 import random
 
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import operad_groups as og
+from operad_groups.cli import main
 from helpers import (
     CUBE2,
     CUBE3,
@@ -100,6 +102,24 @@ class TestClassKey:
             config = og.BackendConfig.cube(dim)
             cell = og.Box((0,) * (dim - 1) + (1,), (0,) * (dim - 1) + (1,))
             assert og.class_key(og.ball_at(config, 1, 0, cell)) == ((dim - 1, None, 0),)
+
+    def test_only_cut_axes_are_tested_for_variation(self, monkeypatch, capsys):
+        calls = []
+        varies_along = og.markings._varies_along
+
+        def counted(*args):
+            calls.append(args)
+            return varies_along(*args)
+
+        monkeypatch.setattr(og.markings, "_varies_along", counted)
+        # a ball cut along the last axis only: no other axis is cut
+        config = og.BackendConfig.cube(64)
+        cell = og.Box((0,) * 63 + (1,), (0,) * 63 + (1,))
+        assert og.class_key(og.ball_at(config, 1, 0, cell)) == ((63, None, 0),)
+        assert len(calls) == 0
+        assert main(["--backend", "cube:d=32", "partition", "list", "--depth", "2"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 15_841
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**30))

@@ -6,7 +6,9 @@ class representatives (one scatter by ``Permutation.permute``) and
 ``sp_class_eq`` against an identity leg are each checked against the
 slower construction kept in ``tests/helpers.py``: the same result, or the
 same typed error, over random arrows and markings on every backend shape
-at base lengths 1 and 2.
+at base lengths 1 and 2.  ``ma_subset``, which decides on the gathered
+symbol tuples without building a ``Marking``, is checked against the
+references through its own square filling and against ``ma_subset_with``.
 """
 
 import random
@@ -136,3 +138,66 @@ class TestClassEquality:
                 calls.clear()
                 og.sp_class_eq(x, y)
                 assert len(calls) == 1
+
+
+def marked_pool(config, seed):
+    """Random marked arrows over base lengths 1 and 2, with partial markings,
+    each followed by a copy with one symbol erased, which it contains."""
+    rng = random.Random(seed)
+    pool = []
+    for a in arrows(config, seed, count=16):
+        ma = og.MarkedArrow(a, random_marking(config, rng, a.domain_len))
+        erased = ma.marking.symbols[rng.randrange(len(ma.marking))]
+        pool.append(ma)
+        symbols = tuple(None if s == erased else s for s in ma.marking.symbols)
+        pool.append(og.MarkedArrow(a, og.Marking(symbols)))
+    return pool
+
+
+def reference_ma_subset(p, q):
+    """Through the same filling: both markings pulled back and compared
+    by the references."""
+    b1, b2 = og.square_fill(p.arrow, q.arrow)
+    return reference_marking_subset(reference_pull_back(b1, p.marking), reference_pull_back(b2, q.marking))
+
+
+class TestMaSubset:
+    def test_matches_the_references_through_its_filling(self):
+        verdicts = set()
+        for n, config in enumerate(CONFIGS):
+            pool = marked_pool(config, 960 + n)
+            for p in pool:
+                for q in pool:
+                    got = outcome(og.ma_subset, p, q)
+                    if p.base_len != q.base_len:
+                        assert got[0] == "E_BASE_MISMATCH"
+                        continue
+                    filling = og.square_fill(p.arrow, q.arrow)
+                    assert got == outcome(reference_ma_subset, p, q), (str(p), str(q))
+                    assert got == outcome(og.ma_subset_with, p, q, filling), (str(p), str(q))
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_fills_once_and_builds_no_marking(self, monkeypatch):
+        pool = marked_pool(CUBE2, 970) + marked_pool(TREE2, 971)
+        calls = {"square_fill": 0, "pull_back": 0, "Marking": 0}
+
+        def counting(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return counted
+
+        monkeypatch.setattr(og.markings, "square_fill", counting("square_fill", og.markings.square_fill))
+        monkeypatch.setattr(og.markings, "pull_back", counting("pull_back", og.markings.pull_back))
+        monkeypatch.setattr(og.Marking, "__post_init__", counting("Marking", og.Marking.__post_init__))
+        trusted = og.Marking._trusted
+        monkeypatch.setattr(og.Marking, "_trusted", staticmethod(counting("Marking", trusted)))
+        pairs = [(p, q) for p in pool for q in pool if p.config == q.config and p.base_len == q.base_len]
+        for p, q in pairs:
+            og.ma_subset(p, q)
+        assert calls == {"square_fill": len(pairs), "pull_back": 0, "Marking": 0}
+        # the counters see what they count
+        og.markings.pull_back(pool[0].arrow, og.Marking((0,) * pool[0].base_len))
+        assert calls["pull_back"] == 1 and calls["Marking"] == 2
