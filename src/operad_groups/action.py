@@ -39,7 +39,7 @@ def act(g: Span, S: SemiPartitionClass) -> SemiPartitionClass:
     permutation, which the class absorbs into its marking, so the result is
     den marked by S's marking pulled back through num.
     """
-    if g.config != S.config or g.base_len != S.base_len:
+    if (g.config is not S.config and g.config != S.config) or g.base_len != S.base_len:
         raise BaseMismatchError("span and class live over different bases")
     if S.rep.arrow.is_identity():
         return SemiPartitionClass(MarkedArrow(g.den, pull_back(g.num, S.rep.marking)))
@@ -109,7 +109,7 @@ def xi(components, W: StabilizerWitness) -> Span:
     if len(components) != len(W.subwords):
         raise BaseMismatchError("one component per symbol block")
     for comp, width in zip(components, W.subwords):
-        if comp.config != W.config:
+        if comp.config is not W.config and comp.config != W.config:
             raise BaseMismatchError("component from a different backend")
         if comp.base_len != width:
             raise BaseMismatchError(
@@ -149,7 +149,9 @@ def decompose(g: Span, W: StabilizerWitness):
     so each coordinate of z_pre's domain is reached: one whose blocks differ
     keeps differing in every preimage, and the round could only fail again.
     """
-    if g.config != W.config or g.base_len != W.base_arrow.codomain_len:
+    if (
+        g.config is not W.config and g.config != W.config
+    ) or g.base_len != W.base_arrow.codomain_len:
         raise BaseMismatchError("span and witness live over different bases")
     alpha = W.base_arrow
     word_starts = block_starts(W.subwords)

@@ -60,11 +60,18 @@ class Arrow:
     correcting block permutation is absorbed into ``perm``.  Planar arrows
     must come out with the identity permutation; anything else is a
     construction bug.
+
+    The hash is the structural one, computed on first use and kept in
+    ``_hash``: arrows are the keys of the ``square_fill`` memo and of
+    ``check_filtered``'s bounds, and each lookup would otherwise rehash
+    every operation, cell and permutation inside.  ``_hash`` plays no part
+    in equality or repr.
     """
 
     config: BackendConfig
     perm: Permutation
     forest: tuple[Operation, ...] = field(default=())
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         config = self.config
@@ -117,6 +124,13 @@ class Arrow:
 
     def is_identity(self) -> bool:
         return self.is_permutation() and self.perm.is_identity()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.config, self.perm, self.forest))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self):
         return format_arrow(self)
@@ -193,7 +207,11 @@ def tensor(a: Arrow, *rest: Arrow) -> Arrow:
 def arrow_eq(a: Arrow, b: Arrow) -> bool:
     """Structural equality of normal forms; in these cancellative backends
     parallel arrows are homotopic exactly when equal."""
-    return a.config == b.config and a.perm == b.perm and a.forest == b.forest
+    return (
+        (a.config is b.config or a.config == b.config)
+        and a.perm == b.perm
+        and a.forest == b.forest
+    )
 
 
 @functools.lru_cache(maxsize=8192)

@@ -214,7 +214,7 @@ def parse_marked_arrow(text: str, config: BackendConfig) -> MarkedArrow:
 
 
 def _require_same_base_ma(p: MarkedArrow, q: MarkedArrow):
-    if p.config != q.config or p.base_len != q.base_len:
+    if (p.config is not q.config and p.config != q.config) or p.base_len != q.base_len:
         raise BaseMismatchError("marked arrows over different base words")
 
 

@@ -139,7 +139,7 @@ def refine_to_n(
     """
     if not P.is_partition() or not Q.is_partition():
         raise NotPartitionError("refinement of non-partitions")
-    if P.config != Q.config or P.base_len != Q.base_len:
+    if (P.config is not Q.config and P.config != Q.config) or P.base_len != Q.base_len:
         raise BaseMismatchError("partitions over different bases")
     b1, _ = square_fill(P.rep.arrow, Q.rep.arrow)
     delta = compose(b1, P.rep.arrow)
@@ -227,10 +227,10 @@ def check_filtered(T: PosetTruncation) -> Report:
     more than MAX_POSET_PAIRS pairs are refused before any is refined.
 
     ``refine_to_n`` reads only the two representative arrows (and the
-    truncation's y and n), so it runs once per distinct pair of arrows.
-    The arrows are numbered once, and the bounds are keyed by those
-    numbers; the n-condition of a bound is checked once with it, and the
-    two inclusions pair by pair."""
+    truncation's y and n), so it runs once per distinct pair of arrows,
+    and the bounds are keyed by that pair (an arrow hashes once); the
+    n-condition of a bound is checked once with it, and the two inclusions
+    pair by pair."""
     count = len(T.elements)
     pairs = count * (count - 1) // 2
     if pairs > MAX_POSET_PAIRS:
@@ -239,11 +239,9 @@ def check_filtered(T: PosetTruncation) -> Report:
         )
     rows = []
     shown = [str(P.rep) for P in T.elements]
-    numbers: dict = {}
-    arrow_of = [numbers.setdefault(P.rep.arrow, len(numbers)) for P in T.elements]
-    bounds = {}  # (P's arrow number, Q's) -> (R, R printed, R meets the n-condition)
+    bounds = {}  # (P's arrow, Q's) -> (R, R printed, R meets the n-condition)
     for (i, P), (j, Q) in itertools.combinations(enumerate(T.elements), 2):
-        key = (arrow_of[i], arrow_of[j])
+        key = (P.rep.arrow, Q.rep.arrow)
         bound = bounds.get(key)
         if bound is None:
             R = refine_to_n(P, Q, T.y, T.n)

@@ -65,7 +65,7 @@ def sp_identity(config: BackendConfig, n: int) -> Span:
 
 
 def _require_same_base(g: Span, h: Span):
-    if g.config != h.config or g.base_len != h.base_len:
+    if (g.config is not h.config and g.config != h.config) or g.base_len != h.base_len:
         raise BaseMismatchError("spans live over different base words")
 
 

@@ -146,6 +146,15 @@ def random_arrow(config, rng, coords=1, gens=3):
     return og.Arrow(config, og.Permutation(tuple(imgs)), forest)
 
 
+def arrow_pool(config, seed, count=60):
+    """Random arrows into base words of lengths 1 and 2."""
+    rng = random.Random(seed)
+    return [
+        random_arrow(config, rng, coords=1 + i % 2, gens=rng.randrange(4))
+        for i in range(count)
+    ]
+
+
 def random_span(config, rng, coords=1, max_gens=4):
     """A random group element; equal generator counts keep the legs composable."""
     gens = rng.randrange(max_gens + 1)

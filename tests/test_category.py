@@ -13,8 +13,10 @@ from helpers import (
     PLANAR2,
     TREE2,
     TREE3,
+    arrow_pool,
     glued_square_fill,
     random_arrow,
+    random_marking,
     sort_key,
 )
 
@@ -202,6 +204,68 @@ class TestSquareFill:
         b = og.Arrow.from_forest(TREE2, (og.op_generator(TREE2), og.op_identity(TREE2)))
         with pytest.raises((og.CodomainMismatchError, og.SizeMismatchError)):
             og.square_fill(a, b)
+
+
+def shuffled_copy(a, rng):
+    """``a`` rebuilt over its forest with every operation's cells shuffled,
+    under the permutation that the constructor's sort turns back into
+    ``a.perm``."""
+    shuffled = []
+    for op in a.forest:
+        cells = list(op.cells)
+        rng.shuffle(cells)
+        shuffled.append(og.Operation(a.config, tuple(cells)))
+    identity = og.Permutation.identity(a.domain_len)
+    rank = og.Arrow(a.config, identity, tuple(shuffled)).perm
+    return og.Arrow(a.config, a.perm * rank.inverse(), tuple(shuffled))
+
+
+class TestArrowHash:
+    CONFIGS = (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3)
+
+    def test_the_cached_hash_is_the_structural_hash(self):
+        rebuilds = [
+            lambda a, rng: og.parse_arrow(str(a), a.config),
+            lambda a, rng: og.compose(og.Arrow.identity(a.config, a.domain_len), a),
+        ]
+        for n, config in enumerate(self.CONFIGS):
+            rng = random.Random(900 + n)
+            ways = list(rebuilds)
+            if config.kind == og.DYADIC_CUBE:  # tree cells keep their order
+                ways.append(shuffled_copy)
+            for a in arrow_pool(config, 60 + n):
+                shown = repr(a)
+                assert hash(a) == hash((a.config, a.perm, a.forest))
+                for rebuild in ways:
+                    # hashed before it is compared, then compared first
+                    b = rebuild(a, rng)
+                    assert b is not a
+                    assert hash(b) == hash(a) and b == a, (str(a), str(b))
+                    b = rebuild(a, rng)
+                    assert b == a and hash(b) == hash(a), (str(a), str(b))
+                assert repr(a) == shown
+
+    def test_memo_hits_rehash_no_operation_or_permutation(self, monkeypatch):
+        calls = []
+        for cls in (og.Operation, og.Permutation, og.Box):
+            original = cls.__hash__
+
+            def counted(self, original=original):
+                calls.append(type(self))
+                return original(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        rng = random.Random(7)
+        a1 = random_arrow(CUBE2, rng, coords=2, gens=5)
+        a2 = random_arrow(CUBE2, rng, coords=2, gens=5)
+        p = og.MarkedArrow(a1, random_marking(CUBE2, rng, a1.domain_len))
+        q = og.MarkedArrow(a2, random_marking(CUBE2, rng, a2.domain_len))
+        verdict = og.ma_subset(p, q)
+        first = len(calls)
+        assert og.Operation in calls and og.Permutation in calls
+        for _ in range(49):
+            assert og.ma_subset(p, q) == verdict
+        assert len(calls) == first
 
 
 class TestCombineFillings:

@@ -239,6 +239,15 @@ class TestSweepProbes:
             rows = check(TREE2, 4, 3).rows
             assert len(composites) == len(rows) == 1768, check.__name__
 
+    def test_no_square_fill(self):
+        # cert sigma and cert freeaction at --max-perm 4 --depth 3: every
+        # class the sweeps act on or compare has an identity arrow
+        for check in (og.sigma_span_report, og.free_action_check):
+            og.square_fill.cache_clear()
+            assert check(TREE2, 4, 3).ok
+            info = og.square_fill.cache_info()
+            assert info.hits + info.misses == 0, check.__name__
+
 
 class TestSweepCap:
     # tree:k=2 within one generator: 3 forests of 2 operations, 4 of 3

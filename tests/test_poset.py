@@ -201,6 +201,17 @@ class TestCheckFiltered:
             assert len(calls) == len(set(calls)) == expected
             assert len(report.rows) > expected
 
+    def test_two_fills_per_pair_and_one_per_refined_pair(self):
+        # poset filtered --depth 3: 55 classes, 1,485 pairs and 15 distinct
+        # pairs of arrows; each pair asks class_subset(R, P) and
+        # class_subset(R, Q), and each refinement fills once
+        T = og.enumerate_pn(TREE2, 1, 3, 1, 1)
+        og.square_fill.cache_clear()
+        report = og.check_filtered(T)
+        info = og.square_fill.cache_info()
+        assert len(T.elements) == 55 and len(report.rows) == 1485
+        assert info.hits + info.misses == 2 * 1485 + 15 == 2985
+
     def test_rows_match_the_pair_by_pair_loop(self):
         for config, depth in ((TREE2, 2), (TREE2, 3), (PLANAR2, 3), (CUBE2, 2)):
             T = og.enumerate_pn(config, 1, depth, 1, 1)

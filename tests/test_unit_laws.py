@@ -19,7 +19,7 @@ from helpers import (
     TREE2,
     TREE3,
     act_through_fill,
-    random_arrow,
+    arrow_pool,
     random_marking,
     random_span,
     reference_compose,
@@ -36,15 +36,6 @@ def random_perm_arrow(config, rng, degree):
     return og.perm_arrow(config, og.Permutation(tuple(imgs)))
 
 
-def pool(config, seed, count=60):
-    """Random arrows into base words of lengths 1 and 2."""
-    rng = random.Random(seed)
-    return [
-        random_arrow(config, rng, coords=1 + i % 2, gens=rng.randrange(4))
-        for i in range(count)
-    ]
-
-
 def old_is_identity(a):
     return a.perm.is_identity() and all(op.is_identity() for op in a.forest)
 
@@ -53,7 +44,7 @@ class TestCompose:
     def test_a_permutation_arrow_first_matches_the_general_path(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(100 + n)
-            for b in pool(config, n):
+            for b in arrow_pool(config, n):
                 a = random_perm_arrow(config, rng, b.domain_len)
                 assert a.is_permutation()
                 assert og.arrow_eq(og.compose(a, b), reference_compose(a, b)), (str(a), str(b))
@@ -61,7 +52,7 @@ class TestCompose:
     def test_a_permutation_arrow_second_matches_the_general_path(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(200 + n)
-            for a in pool(config, 10 + n):
+            for a in arrow_pool(config, 10 + n):
                 b = random_perm_arrow(config, rng, a.codomain_len)
                 assert og.arrow_eq(og.compose(a, b), reference_compose(a, b)), (str(a), str(b))
 
@@ -77,7 +68,7 @@ class TestCompose:
 
     def test_other_arrows_are_not_permutation_arrows(self):
         for n, config in enumerate(CONFIGS):
-            for a in pool(config, 20 + n):
+            for a in arrow_pool(config, 20 + n):
                 assert a.is_permutation() == all(op.arity == 1 for op in a.forest)
 
 
@@ -85,7 +76,7 @@ class TestIsIdentity:
     def test_agrees_with_the_operation_by_operation_test(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(400 + n)
-            arrows = pool(config, 30 + n)
+            arrows = arrow_pool(config, 30 + n)
             arrows += [random_perm_arrow(config, rng, d) for d in (0, 1, 2, 4)]
             arrows += [og.Arrow.identity(config, d) for d in (0, 1, 3)]
             for a in arrows:
@@ -96,7 +87,7 @@ class TestMaSubset:
     def test_an_identity_leg_gives_the_filling_verdict(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(500 + n)
-            for a in pool(config, 40 + n):
+            for a in arrow_pool(config, 40 + n):
                 p = og.MarkedArrow(a, random_marking(config, rng, a.domain_len))
                 identity = og.Arrow.identity(config, a.codomain_len)
                 q = og.MarkedArrow(identity, random_marking(config, rng, a.codomain_len))
@@ -163,7 +154,7 @@ class TestAct:
     def test_other_classes_still_take_the_filling(self):
         for n, config in enumerate(CONFIGS):
             rng = random.Random(800 + n)
-            for i, a in enumerate(pool(config, 50 + n)):
+            for i, a in enumerate(arrow_pool(config, 50 + n)):
                 g = random_span(config, rng, coords=a.codomain_len)
                 S = og.SemiPartitionClass(
                     og.MarkedArrow(a, random_marking(config, rng, a.domain_len))
