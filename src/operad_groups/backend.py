@@ -26,7 +26,6 @@ from .errors import (
     SizeMismatchError,
     SlotRangeError,
 )
-from .perms import Permutation
 
 PLANAR = "planar"
 SYMMETRIC = "symmetric"
@@ -249,20 +248,21 @@ class Operation:
     Trees demand left-to-right cell order (the planar tree is recoverable);
     cube patterns keep their sequence as given, so two orderings of the
     same cells are distinct operations related by an input permutation.
-    ``canonical`` records whether the cells are in lexicographic order: it
-    is true for every tree operation and plays no part in equality.
+    ``rank`` is None when the cells are in lexicographic order, as for
+    every tree operation; otherwise it sends each stored cell position to
+    its sorted position.  It plays no part in equality.
     """
 
     config: BackendConfig
     cells: tuple[Box, ...]
-    canonical: bool = field(init=False, compare=False, repr=False)
+    rank: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the memo hands back the first equal cell tuple it saw, so equal
         # operations share their cells
-        cells, canonical = _validate_cells(self.config, self.cells)
+        cells, rank = _validate_cells(self.config, self.cells)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def arity(self) -> int:
@@ -276,9 +276,9 @@ class Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
-    """The cells, and whether they are in lexicographic order, once they are
-    known to tile the unit cube as ``cfg`` demands.
+def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, tuple | None]:
+    """The cells and their ``Operation.rank``, once the cells are known to
+    tile the unit cube as ``cfg`` demands.
 
     Tree cells tile in order exactly when a walk down the k-ary tree meets
     them left to right; cube cells must pass the recursive midpoint-cut
@@ -306,14 +306,19 @@ def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, bool]:
             _check_volume_and_overlap(cells, base)
             # disjoint cells of total volume 1 tile the interval: out of order
             raise NotPartitionError("tree cells must be listed left to right")
-        return cells, True
-    canonical = cells == _sorted_cells(cells, base)
+        return cells, None
     try:
         _check_guillotine(cells, Box.whole(dim), dim)
     except (NotPartitionError, NotGuillotineError):
         _check_volume_and_overlap(cells, base)
         raise
-    return cells, canonical
+    order = _sorted_order(cells, base)
+    if order == list(range(len(order))):
+        return cells, None
+    rank = [0] * len(order)
+    for position, i in enumerate(order):
+        rank[i] = position
+    return cells, tuple(rank)
 
 
 def _heap_index(cell: Box, k: int) -> int:
@@ -443,28 +448,16 @@ def op_comb(config: BackendConfig, gens: int, side: str = "left") -> Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def op_sorted_with_rank(op: Operation) -> tuple[Operation, Permutation]:
-    """Lexicographically sorted copy plus the rank permutation sending each
-    stored cell position to its sorted position."""
-    if op.canonical:
-        return op, Permutation.identity(op.arity)
-    order = _sorted_order(op.cells, op.config.base)
-    imgs = [0] * len(order)
-    for rank, i in enumerate(order):
-        imgs[i] = rank
-    sorted_op = Operation(op.config, tuple(op.cells[i] for i in order))
-    return sorted_op, Permutation._trusted(tuple(imgs))
-
-
-@functools.lru_cache(maxsize=8192)
 def op_common_refinement(p: Operation, q: Operation):
     """Overlay of two partitions with the relative data on both sides.
 
-    Returns (r, phi_p, phi_q, pi_p, pi_q): substituting phi_p into p's slots
-    lists r's cells in grafting order, and pi_p is the permutation from that
-    order to r's canonical (lexicographic) order; likewise for q.  Trees
-    meet their cells in one left-to-right walk, which lists r in order, so
-    pi_p and pi_q are identities; cubes meet every pair of cells and sort.
+    Returns (r, phi_p, phi_q, ranks_p, ranks_q): r's cells are the meets in
+    lexicographic order, phi_p[i] is the refinement of p's cell i in its
+    own coordinates, and ranks_p[i] holds the ranks in r of phi_p[i]'s
+    cells, in phi_p[i]'s cell order; likewise for q.  Trees meet their
+    cells in one left-to-right walk, which lists r in order, so their ranks
+    run 0, 1, 2, ... across the cells; cubes meet every pair of cells and
+    sort.
     """
     if p.config is not q.config and p.config != q.config:
         raise BaseMismatchError("refinement across different backends")
@@ -498,11 +491,11 @@ def op_common_refinement(p: Operation, q: Operation):
             else:
                 cells = tuple(r.cells[rank].rescale_from(c, base) for rank in sub)
                 phi.append(Operation(config, cells))
-        return tuple(phi), Permutation._trusted(tuple(rank for sub in subs for rank in sub))
+        return tuple(phi), tuple(map(tuple, subs))
 
-    phi_p, pi_p = relative(p, 0)
-    phi_q, pi_q = relative(q, 1)
-    return r, phi_p, phi_q, pi_p, pi_q
+    phi_p, ranks_p = relative(p, 0)
+    phi_q, ranks_q = relative(q, 1)
+    return r, phi_p, phi_q, ranks_p, ranks_q
 
 
 def _tree_meets(p_cells, q_cells, k: int):

@@ -19,7 +19,6 @@ from .backend import (
     input_slots,
     op_common_refinement,
     op_identity,
-    op_sorted_with_rank,
     op_subst,
     parse_operation,
     realize,
@@ -56,7 +55,7 @@ class Arrow:
     """Zappa-Szep normal form: apply ``perm``, then collapse by ``forest``.
 
     The constructor canonicalizes: any forest operation stored with cells
-    out of lexicographic order (``op.canonical`` false) is sorted, and the
+    out of lexicographic order (``op.rank`` not None) is sorted, and the
     correcting block permutation is absorbed into ``perm``.  Planar arrows
     must come out with the identity permutation; anything else is a
     construction bug.
@@ -80,7 +79,7 @@ class Arrow:
             if op.config is not config and op.config != config:
                 raise DomainMismatchError("forest operation from a different backend")
             arity += len(op.cells)
-            canonical = canonical and op.canonical
+            canonical = canonical and op.rank is None
         if len(self.perm.imgs) != arity:
             raise SizeMismatchError(
                 f"permutation degree {self.perm.degree} vs forest arity {arity}"
@@ -89,10 +88,14 @@ class Arrow:
             # sort each operation and absorb the rank corrections into perm
             canon, imgs = [], []
             for op in self.forest:
-                sorted_op, rank = op_sorted_with_rank(op)
-                canon.append(sorted_op)
-                start = len(imgs)
-                imgs.extend(start + v for v in rank.imgs)
+                start, rank = len(imgs), op.rank
+                if rank is None:
+                    canon.append(op)
+                    imgs.extend(range(start, start + len(op.cells)))
+                else:
+                    cells = tuple(c for _, c in sorted(zip(rank, op.cells)))
+                    canon.append(Operation(config, cells))
+                    imgs.extend(start + v for v in rank)
             object.__setattr__(self, "forest", tuple(canon))
             object.__setattr__(self, "perm", self.perm * Permutation._trusted(tuple(imgs)))
         if self.config.flavor == PLANAR and not self.perm.is_identity():
@@ -223,9 +226,9 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     Each filling is read off the refinement of each codomain coordinate j:
     domain coordinate i of a leg sits in slot t of that leg's operation at
     j, and input s of its filling operation phi_j[t] is the refinement cell
-    at rank pi_j(g + s), where g is the grafting position of phi_j[t].  The
-    composite sends that input to r_start[j] + pi_j(g + s) and is the
-    identity, so the filling's permutation is the inverse of that list.
+    at rank ranks_j[t][s].  The composite sends that input to
+    r_start[j] + ranks_j[t][s] and is the identity, so the filling's
+    permutation is the inverse of that list.
     """
     if a1.config is not a2.config and a1.config != a2.config:
         raise CodomainMismatchError("cospan arrows from different backends")
@@ -238,15 +241,11 @@ def square_fill(a1: Arrow, a2: Arrow) -> tuple[Arrow, Arrow]:
     r_starts = block_starts([len(r.cells) for r, *_ in refinements])
 
     def filling(a, side):
-        blocks = []  # per coordinate: (phi, pi, grafting starts of phi)
-        for refinement in refinements:
-            phi, pi = refinement[1 + side], refinement[3 + side]
-            blocks.append((phi, pi, block_starts([len(op.cells) for op in phi])))
         fills, imgs = [], []
         for j, t in input_slots(a):
-            phi, pi, graft = blocks[j]
-            fills.append(phi[t])
-            imgs.extend(r_starts[j] + pi(g) for g in range(graft[t], graft[t + 1]))
+            refinement, start = refinements[j], r_starts[j]
+            fills.append(refinement[1 + side][t])
+            imgs.extend(start + rank for rank in refinement[3 + side][t])
         return Arrow(config, Permutation._trusted(tuple(imgs)).inverse(), tuple(fills))
 
     return filling(a1, 0), filling(a2, 1)

@@ -59,14 +59,6 @@ class Marking:
     def __post_init__(self):
         object.__setattr__(self, "symbols", _relabel(self.symbols))
 
-    @classmethod
-    def _trusted(cls, symbols: tuple) -> "Marking":
-        """A marking whose symbols are already 0..k-1 by first occurrence:
-        no relabel."""
-        marking = object.__new__(cls)
-        object.__setattr__(marking, "symbols", symbols)
-        return marking
-
     def __len__(self):
         return len(self.symbols)
 
@@ -144,22 +136,13 @@ def _gather(arrow: Arrow, symbols: tuple) -> tuple:
 
 def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
     """Transport a codomain marking to the domain: every input of an
-    operation inherits its output's symbol, routed through the permutation.
-
-    When the permutation is the identity the result needs no relabel: each
-    output's symbol then repeats once per input of its operation, in output
-    order, and no operation is empty, so the symbols first occur in the
-    comarking's order, which is already 0, 1, 2, ...
-    """
+    operation inherits its output's symbol, routed through the permutation."""
     if len(comarking) != arrow.codomain_len:
         raise LengthError(
             f"comarking of length {len(comarking)} on codomain of length "
             f"{arrow.codomain_len}"
         )
-    symbols = _gather(arrow, comarking.symbols)
-    if arrow.perm.is_identity():
-        return Marking._trusted(symbols)
-    return Marking(symbols)
+    return Marking(_gather(arrow, comarking.symbols))
 
 
 def _symbols_subset(s1: tuple, s2: tuple) -> bool:
@@ -389,12 +372,6 @@ def submultiballs(P: SemiPartitionClass) -> tuple[SemiPartitionClass, ...]:
     )
 
 
-def marked_cells(B: SemiPartitionClass, symbol: int = 0) -> tuple:
-    """Realized (coordinate, cell) pairs of the symbol's marked coordinates."""
-    table = realize(B.rep.arrow)
-    return tuple(table[i] for i in B.rep.marking.support(symbol))
-
-
 def is_ball(B: SemiPartitionClass) -> bool:
     """A multiball is a ball when its marked cells unite to one standard cell.
 
@@ -408,7 +385,8 @@ def is_ball(B: SemiPartitionClass) -> bool:
     if not B.is_multiball():
         raise NotMultiballError("ball test on a class that is not a multiball")
     base = B.config.base
-    cells = marked_cells(B)
+    table = realize(B.rep.arrow)
+    cells = [table[i] for i in B.rep.marking.support(0)]
     if len({j for j, _ in cells}) != 1:
         return False
     boxes = [cell for _, cell in cells]

@@ -393,7 +393,7 @@ def perturbed_patterns(config, rng, count):
 def reference_common_refinement(p, q):
     """Reference common refinement on ``Box`` values: meet every cell of
     ``p`` with every cell of ``q``, sort the meets by ``sort_key``, and
-    read off each side's relative operations and rank permutation."""
+    read off each side's relative operations and per-cell ranks."""
     config = p.config
     base = config.base
     met, parents = [], []
@@ -415,11 +415,11 @@ def reference_common_refinement(p, q):
             og.Operation(config, tuple(r_cells[rank].rescale_from(c, base) for rank in sub))
             for c, sub in zip(op.cells, subs)
         )
-        return phi, og.Permutation(tuple(rank for sub in subs for rank in sub))
+        return phi, tuple(tuple(sub) for sub in subs)
 
-    phi_p, pi_p = relative(p, 0)
-    phi_q, pi_q = relative(q, 1)
-    return r, phi_p, phi_q, pi_p, pi_q
+    phi_p, ranks_p = relative(p, 0)
+    phi_q, ranks_q = relative(q, 1)
+    return r, phi_p, phi_q, ranks_p, ranks_q
 
 
 def reference_format_tree(op):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import operad_groups as og
-from operad_groups.backend import _cell_keys, _sorted_cells, input_slots, op_sorted_with_rank
+from operad_groups.backend import _cell_keys, _sorted_cells, input_slots
 from helpers import (
     CUBE1,
     CUBE2,
@@ -211,14 +211,15 @@ class TestOperationValidation:
                     op = og.Operation(config, cells)
                 except og.OperadError:
                     continue
-                assert op.canonical == (op.cells == _sorted_cells(op.cells, config.base))
+                in_order = op.cells == _sorted_cells(op.cells, config.base)
+                assert (op.rank is None) == in_order
                 if config.kind == og.KARY_TREE:
-                    assert op.canonical
+                    assert op.rank is None
         halves = (og.Box((1,), (0,)), og.Box((1,), (1,)))
         forward = og.Operation(CUBE1, halves)
         backward = og.Operation(CUBE1, halves[::-1])
-        assert forward.canonical and not backward.canonical
-        assert "canonical" not in repr(backward)
+        assert forward.rank is None and backward.rank == (1, 0)
+        assert forward != backward and "rank" not in repr(backward)
 
 
 class TestOperationAlgebra:
@@ -324,10 +325,14 @@ class TestSortKeys:
                 cells = list(op.cells)
                 rng.shuffle(cells)
                 shuffled = og.Operation(config, tuple(cells))
-                sorted_op, rank = op_sorted_with_rank(shuffled)
                 by_fraction = sorted(cells, key=lambda c: sort_key(c, config.base))
-                assert sorted_op.cells == tuple(by_fraction)
-                assert all(sorted_op.cells[rank(i)] == c for i, c in enumerate(cells))
+                assert _sorted_cells(cells, config.base) == tuple(by_fraction)
+                rank = shuffled.rank
+                if rank is None:
+                    assert cells == by_fraction
+                    continue
+                assert sorted(rank) == list(range(len(cells)))
+                assert all(by_fraction[rank[i]] == c for i, c in enumerate(cells))
 
 
 class TestCommonRefinement:
@@ -337,11 +342,15 @@ class TestCommonRefinement:
             for _ in range(40):
                 p = random_operation(config, rng, rng.randrange(6))
                 q = random_operation(config, rng, rng.randrange(6))
-                r, phi_p, phi_q, pi_p, pi_q = og.op_common_refinement(p, q)
-                for op, phi, pi in ((p, phi_p, pi_p), (q, phi_q, pi_q)):
-                    sorted_op, rank = op_sorted_with_rank(og.op_subst(op, phi))
-                    assert sorted_op == r
-                    assert pi == rank
+                r, phi_p, phi_q, ranks_p, ranks_q = og.op_common_refinement(p, q)
+                for op, phi, ranks in ((p, phi_p, ranks_p), (q, phi_q, ranks_q)):
+                    assert [len(sub) for sub in ranks] == [f.arity for f in phi]
+                    grafted = og.op_subst(op, phi)
+                    rank = grafted.rank
+                    if rank is None:
+                        rank = tuple(range(len(r.cells)))
+                    assert sum(ranks, ()) == rank
+                    assert og.Arrow.from_forest(config, (grafted,)).forest == (r,)
 
     def test_cells_come_from_both_sides(self):
         rng = random.Random(25)
@@ -398,7 +407,7 @@ class TestCutTrees:
     def test_to_operation_sorts_cells(self):
         op = og.parse_operation("[0 [1 . .] .]", CUBE2)
         assert op.cells == tuple(sorted(op.cells, key=lambda c: sort_key(c, 2)))
-        assert op.arity == 3 and op.canonical
+        assert op.arity == 3 and op.rank is None
 
     def test_axis_out_of_range(self):
         with pytest.raises(og.ParseError):

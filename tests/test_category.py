@@ -72,7 +72,7 @@ class TestArrowConstruction:
                 raw = SimpleNamespace(perm=arrow.perm, forest=tuple(shuffled))
                 canon = og.Arrow(config, arrow.perm, tuple(shuffled))
                 for op in canon.forest:
-                    assert op.canonical
+                    assert op.rank is None
                     assert list(op.cells) == sorted(op.cells, key=lambda c: sort_key(c, 2))
                 assert og.realize(canon) == og.realize(raw)
 
@@ -198,6 +198,29 @@ class TestSquareFill:
         a = og.parse_arrow("p[1,0] ; (. .)", TREE2)
         b1, b2 = og.square_fill(a, a)
         assert og.arrow_eq(b1, b2)
+
+    def test_reads_the_ranks_without_calling_a_permutation(self, monkeypatch):
+        rng = random.Random(12)
+        pairs = [
+            [random_arrow(config, rng, coords=coords, gens=rng.randrange(6)) for _ in "ab"]
+            for config in (TREE2, CUBE2)
+            for coords in (1, 2, 3)
+            for _ in range(20)
+        ]
+        calls = []
+        original = og.Permutation.__call__
+
+        def counted(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(og.Permutation, "__call__", counted)
+        for a1, a2 in pairs:
+            b1, b2 = og.square_fill.__wrapped__(a1, a2)
+            assert og.arrow_eq(og.compose(b1, a1), og.compose(b2, a2))
+        assert calls == []
+        # the counter sees what it counts
+        assert og.Permutation((1, 0))(0) == 1 and calls == [0]
 
     def test_requires_a_common_codomain(self):
         a = og.Arrow.from_forest(TREE2, (og.op_generator(TREE2),))

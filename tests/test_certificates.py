@@ -58,6 +58,16 @@ class TestTorsionElements:
             assert og.sp_order(g, max_n) == order
             assert len(products) == made, (og.format_span(g), max_n)
 
+    def test_every_backend_splits_wide_enough(self):
+        # the certificates build splits without a guard: every admitted
+        # backend splits a single letter, and four left splits are wide
+        # enough for the padded certificates
+        configs = [og.BackendConfig.tree(k) for k in range(2, og.MAX_BACKEND_SIZE + 1)]
+        configs += [og.BackendConfig.cube(d) for d in range(1, og.MAX_BACKEND_SIZE + 1)]
+        for config in configs:
+            assert og.is_split(config, 1), config
+            assert og.op_comb(config, 4).arity >= 5, config
+
     def test_requires_the_symmetric_flavor(self):
         with pytest.raises(ValueError):
             og.make_gamma1(PLANAR2)

@@ -87,8 +87,9 @@ class TestTreeRefinement:
             for _ in range(50):
                 p = random_operation(config, rng, rng.randrange(8))
                 q = random_operation(config, rng, rng.randrange(8))
-                _, _, _, pi_p, pi_q = og.op_common_refinement(p, q)
-                assert pi_p.is_identity() and pi_q.is_identity()
+                r, _, _, ranks_p, ranks_q = og.op_common_refinement(p, q)
+                identity = tuple(range(len(r.cells)))
+                assert sum(ranks_p, ()) == identity and sum(ranks_q, ()) == identity
 
 
 class TestPermutations:

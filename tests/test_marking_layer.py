@@ -192,8 +192,6 @@ class TestMaSubset:
         monkeypatch.setattr(og.markings, "square_fill", counting("square_fill", og.markings.square_fill))
         monkeypatch.setattr(og.markings, "pull_back", counting("pull_back", og.markings.pull_back))
         monkeypatch.setattr(og.Marking, "__post_init__", counting("Marking", og.Marking.__post_init__))
-        trusted = og.Marking._trusted
-        monkeypatch.setattr(og.Marking, "_trusted", staticmethod(counting("Marking", trusted)))
         pairs = [(p, q) for p in pool for q in pool if p.config == q.config and p.base_len == q.base_len]
         for p, q in pairs:
             og.ma_subset(p, q)
