@@ -119,18 +119,23 @@ def test_criterion_06_marked_arrow_calculus():
         if not is_transitive(matrix):
             problems.append(f"{config}: preorder not transitive")
 
-        steps = {}
+        # the deeper filling depends on the two arrows alone, and the
+        # marked arrows share few of them
+        steps, deeper_fillings = {}, {}
         for i, p in enumerate(marked):
             for j, q in enumerate(marked):
-                b1, b2 = og.square_fill(p.arrow, q.arrow)
-                if b1.domain_len not in steps:
-                    steps[b1.domain_len] = og.Arrow.from_forest(
-                        config,
-                        (og.op_generator(config),)
-                        + (og.op_identity(config),) * (b1.domain_len - 1),
-                    )
-                step = steps[b1.domain_len]
-                deeper = (og.compose(step, b1), og.compose(step, b2))
+                deeper = deeper_fillings.get((p.arrow, q.arrow))
+                if deeper is None:
+                    b1, b2 = og.square_fill(p.arrow, q.arrow)
+                    if b1.domain_len not in steps:
+                        steps[b1.domain_len] = og.Arrow.from_forest(
+                            config,
+                            (og.op_generator(config),)
+                            + (og.op_identity(config),) * (b1.domain_len - 1),
+                        )
+                    step = steps[b1.domain_len]
+                    deeper = (og.compose(step, b1), og.compose(step, b2))
+                    deeper_fillings[p.arrow, q.arrow] = deeper
                 if og.ma_subset_with(p, q, deeper) != bool(matrix[i] >> j & 1):
                     problems.append(f"{config}: verdict depends on the filling")
                     break

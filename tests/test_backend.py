@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import operad_groups as og
+from operad_groups import backend
 from operad_groups.backend import _cell_keys, _sorted_cells, input_slots
 from helpers import (
     CUBE1,
@@ -17,6 +18,7 @@ from helpers import (
     PLANAR2,
     TREE2,
     TREE3,
+    arrow_pool,
     perturbed_patterns,
     random_arrow,
     random_operation,
@@ -363,6 +365,69 @@ class TestCommonRefinement:
                 met = [c1.meet(c2, base) for c1 in p.cells for c2 in q.cells]
                 assert sorted(r.cells, key=lambda c: sort_key(c, base)) == list(r.cells)
                 assert set(r.cells) == {m for m in met if m is not None}
+
+
+class TestTrustedOperations:
+    """Operations built from splits, meets or a sort skip the tiling check
+    and must equal what the check would have built."""
+
+    CONFIGS = (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3)
+
+    @staticmethod
+    def shuffled(config, forest, rng):
+        out = []
+        for op in forest:
+            cells = list(op.cells)
+            rng.shuffle(cells)
+            out.append(og.Operation(config, tuple(cells)))
+        return tuple(out)
+
+    def trusted_operations(self, config, n):
+        yield og.op_identity(config)
+        for axis in range(config.dim):
+            yield og.op_generator(config, axis)
+        for gens in range(4):
+            yield from og.operations_with_gens(config, gens)
+        for box in og.standard_cells(config, 3):
+            yield og.cell_operation(config, box)
+        rng = random.Random(70 + n)
+        pool = arrow_pool(config, 60 + n)
+        for a, b in zip(pool, pool[2:]):  # the pool alternates codomains 1, 2
+            for p, q in zip(a.forest, b.forest):
+                yield og.op_common_refinement(p, q)[0]
+            b1, _ = og.square_fill(a, b)
+            yield from og.compose(b1, a).forest  # grafted, then sorted
+            if config.kind == og.DYADIC_CUBE:  # tree cells keep their order
+                shuffled = self.shuffled(config, a.forest, rng)
+                yield from og.Arrow.from_forest(config, shuffled).forest
+
+    def test_each_equals_its_validated_twin(self):
+        for n, config in enumerate(self.CONFIGS):
+            for op in self.trusted_operations(config, n):
+                twin = og.Operation(config, op.cells)
+                assert op == twin and repr(op) == repr(twin), str(op)
+                assert op.rank is None and twin.rank is None, str(op)
+
+    def test_an_arrow_sorts_without_checking_again(self, monkeypatch):
+        calls = []
+        validate = backend._validate_cells
+
+        def counted(config, cells):
+            calls.append(cells)
+            return validate(config, cells)
+
+        monkeypatch.setattr(backend, "_validate_cells", counted)
+        rng = random.Random(71)
+        unsorted = 0
+        for config in (CUBE2, CUBE3):
+            for a in arrow_pool(config, 72):
+                calls.clear()
+                forest = self.shuffled(config, a.forest, rng)
+                assert len(calls) == len(forest)
+                unsorted += sum(op.rank is not None for op in forest)
+                arrow = og.Arrow.from_forest(config, forest)
+                assert len(calls) == len(forest) and arrow.forest == a.forest
+        assert unsorted > 0
 
 
 class TestRealize:

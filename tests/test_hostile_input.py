@@ -160,6 +160,39 @@ class TestComputedDepthCap:
         with pytest.raises(og.DepthError):
             og.op_compose(cube_comb, 0, og.op_generator(CUBE2, 1))
 
+    @pytest.mark.parametrize("config", [TREE2, CUBE2])
+    def test_a_deep_cell_is_refused_before_the_descent(self, config):
+        # the descent recurses once per cut: past about 1,000 it overflowed
+        box = og.Box((5000,) + (0,) * (config.dim - 1), (0,) * config.dim)
+        message = f"cell depth 5000 exceeds the cap {og.MAX_CELL_DEPTH}"
+        with pytest.raises(og.DepthError, match=message):
+            og.cell_operation(config, box)
+        with pytest.raises(og.DepthError, match=message):
+            og.ball_at(config, 1, 0, box)
+
+    def test_a_meet_deeper_than_both_its_cells_is_refused(self):
+        # p's thinnest strips (0, 256) meet q's halves (1, 255) in cells of
+        # depth 257, in a refinement of 259 cells
+        p = og.Operation(
+            CUBE2,
+            tuple(og.Box((0, j + 1), (0, 1)) for j in range(256)) + (og.Box((0, 256), (0, 0)),),
+        )
+        q = og.Operation(
+            CUBE2,
+            tuple(og.Box((0, j + 1), (0, 1)) for j in range(255))
+            + (og.Box((1, 255), (0, 0)), og.Box((1, 255), (1, 0))),
+        )
+        assert max(sum(c.exps) for c in p.cells + q.cells) == og.MAX_CELL_DEPTH
+        a, b = og.Arrow.from_forest(CUBE2, (p,)), og.Arrow.from_forest(CUBE2, (q,))
+        message = f"cell depth 257 exceeds the cap {og.MAX_CELL_DEPTH}"
+        for refuse in (
+            lambda: og.op_common_refinement(p, q),
+            lambda: og.square_fill(a, b),
+            lambda: og.ma_subset(*(og.MarkedArrow(x, og.Marking((0,) * x.domain_len)) for x in (a, b))),
+        ):
+            with pytest.raises(og.DepthError, match=message):
+                refuse()
+
 
 class TestOperationCellCap:
     TREE64 = og.BackendConfig.tree(64)
@@ -176,6 +209,20 @@ class TestOperationCellCap:
         # given cells are counted before they are checked to tile
         with pytest.raises(og.DepthError, match=message):
             og.Operation(self.TREE64, comb.cells + comb.cells[:63])
+
+    def test_a_computed_refinement_obeys_the_cap(self):
+        # 64 vertical strips meet 128 horizontal ones in 8192 cells
+        p = og.Operation(CUBE2, tuple(og.Box((6, 0), (a, 0)) for a in range(64)))
+        q = og.Operation(CUBE2, tuple(og.Box((0, 7), (0, b)) for b in range(128)))
+        a, b = og.Arrow.from_forest(CUBE2, (p,)), og.Arrow.from_forest(CUBE2, (q,))
+        message = f"8192 cells exceed the cap {og.MAX_OPERATION_CELLS}"
+        for refuse in (
+            lambda: og.op_common_refinement(p, q),
+            lambda: og.square_fill(a, b),
+            lambda: og.ma_subset(*(og.MarkedArrow(x, og.Marking((0,) * x.domain_len)) for x in (a, b))),
+        ):
+            with pytest.raises(og.DepthError, match=message):
+                refuse()
 
     @pytest.mark.parametrize("argv", [("cert", "infinite", "--max-n", "256"), ("elem", "pow", None, "256")])
     def test_long_powers_are_refused_quickly(self, capsys, argv):
