@@ -20,7 +20,6 @@ from .errors import (
     UnknownError,
 )
 from .markings import (
-    Marking,
     MarkedArrow,
     SemiPartitionClass,
     pull_back,
@@ -79,13 +78,6 @@ class StabilizerWitness:
     @property
     def config(self) -> BackendConfig:
         return self.base_arrow.config
-
-    @property
-    def marking(self) -> Marking:
-        symbols = []
-        for i, width in enumerate(self.subwords):
-            symbols.extend([i] * width)
-        return Marking(tuple(symbols))
 
     @classmethod
     def from_partition(cls, P: SemiPartitionClass) -> "StabilizerWitness":

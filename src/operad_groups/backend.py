@@ -137,7 +137,11 @@ class Box:
         return len(self.exps)
 
     def in_range(self, base: int) -> bool:
-        return all(e >= 0 and 0 <= a < base**e for e, a in zip(self.exps, self.offs))
+        # every sign first, so a negative exponent is refused before any
+        # base**e of a huge one is computed
+        return all(e >= 0 for e in self.exps) and all(
+            0 <= a < base**e for e, a in zip(self.exps, self.offs)
+        )
 
     def child(self, axis: int, digit: int, base: int) -> "Box":
         """The digit-th of the base many slices of this box along the axis."""
@@ -408,12 +412,6 @@ def _check_guillotine(cells, box, dim):
     raise NotGuillotineError("no axis midplane is free of crossing cells")
 
 
-def op_validate_pattern(config: BackendConfig, boxes) -> Operation:
-    """Constructor from a raw box sequence; rejects non-partitions and
-    patterns that no sequence of straight cuts can produce."""
-    return Operation(config, tuple(boxes))
-
-
 @functools.lru_cache(maxsize=256)
 def op_identity(config: BackendConfig) -> Operation:
     """The whole cube as its one cell, trusted."""
@@ -582,15 +580,14 @@ def cell_operation(config: BackendConfig, box: Box) -> Operation:
     def descend(cur):
         if cur == box:
             return [cur]
-        for axis in range(dim):
-            if box.exps[axis] > cur.exps[axis]:
-                digit = box.offs[axis] // base ** (box.exps[axis] - cur.exps[axis] - 1) % base
-                cells = []
-                for t in range(base):
-                    child = cur.child(axis, t, base)
-                    cells.extend(descend(child) if t == digit else [child])
-                return cells
-        raise NotPartitionError(f"cell {box} escapes {cur}")
+        # cur contains box, so some axis of box is cut deeper than cur's
+        axis = next(a for a in range(dim) if box.exps[a] > cur.exps[a])
+        digit = box.offs[axis] // base ** (box.exps[axis] - cur.exps[axis] - 1) % base
+        cells = []
+        for t in range(base):
+            child = cur.child(axis, t, base)
+            cells.extend(descend(child) if t == digit else [child])
+        return cells
 
     cells = descend(Box.whole(dim))
     return Operation._sorted(config, _sorted_cells(cells, base))
@@ -627,54 +624,39 @@ def _compositions(total: int, parts: int):
 
 
 @functools.lru_cache(maxsize=8192)
-def _tree_cell_shapes(k: int, gens: int) -> tuple:
-    if gens == 0:
-        return ((Box.whole(1),),)
-    shapes = []
-    for split in _compositions(gens - 1, k):
-        for parts in itertools.product(*(_tree_cell_shapes(k, g) for g in split)):
-            cells = []
-            for digit, part in enumerate(parts):
-                outer = Box((1,), (digit,))
-                cells.extend(c.inside(outer, k) for c in part)
-            shapes.append(tuple(cells))
-    return tuple(shapes)
-
-
-@functools.lru_cache(maxsize=8192)
-def _cube_cell_shapes(d: int, gens: int) -> tuple:
-    if gens == 0:
-        return ((Box.whole(d),),)
-    seen = set()
-    for axis in range(d):
-        for g_low in range(gens):
-            g_high = gens - 1 - g_low
-            for low in _cube_cell_shapes(d, g_low):
-                for high in _cube_cell_shapes(d, g_high):
-                    whole = Box.whole(d)
-                    cells = [c.inside(whole.child(axis, 0, 2), 2) for c in low]
-                    cells += [c.inside(whole.child(axis, 1, 2), 2) for c in high]
-                    seen.add(_sorted_cells(cells, 2))
-
-    def key(shape):
-        # lexicographic cell order across shapes: no exponent of a shape cut
-        # gens times exceeds gens, so a lower corner a/2^e scales exactly
-        # to the integer a * 2^(gens - e)
-        return [
-            (tuple(a << (gens - e) for e, a in zip(c.exps, c.offs)), c.exps)
-            for c in shape
-        ]
-
-    return tuple(sorted(seen, key=key))
-
-
 def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, ...]:
     """All canonical operations with exactly the given generator count,
-    trusted: each shape is a sequence of splits, listed sorted."""
-    if config.kind == KARY_TREE:
-        shapes = _tree_cell_shapes(config.size, gens)
-    else:
-        shapes = _cube_cell_shapes(config.size, gens)
+    trusted: each is the whole cube cut into ``base`` slices along one
+    axis, the slices filled with operations of fewer generators.
+
+    Each tree arises once, so trees keep this generation order.  A cube
+    pattern arises once for every axis whose midplane no cell crosses, so
+    cube shapes are deduplicated by their sorted cells and listed in
+    lexicographic cell order across shapes.
+    """
+    if gens == 0:
+        return (op_identity(config),)
+    base, cube = config.base, config.kind == DYADIC_CUBE
+    whole = Box.whole(config.dim)
+    shapes = {}  # insertion-ordered, one key per shape
+    for axis in range(config.dim):
+        slices = [whole.child(axis, t, base) for t in range(base)]
+        for split in _compositions(gens - 1, base):
+            pools = [operations_with_gens(config, g) for g in split]
+            for parts in itertools.product(*pools):
+                cells = [c.inside(s, base) for s, op in zip(slices, parts) for c in op.cells]
+                shapes[_sorted_cells(cells, base) if cube else tuple(cells)] = None
+    if cube:
+
+        def key(shape):
+            # no exponent of a shape cut gens times exceeds gens, so a lower
+            # corner a/2^e scales exactly to the integer a * 2^(gens - e)
+            return [
+                (tuple(a << (gens - e) for e, a in zip(c.exps, c.offs)), c.exps)
+                for c in shape
+            ]
+
+        shapes = sorted(shapes, key=key)
     return tuple(Operation._sorted(config, cells) for cells in shapes)
 
 

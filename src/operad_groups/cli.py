@@ -64,7 +64,7 @@ def _cmd_elem(args, config) -> int:
     if args.elem_cmd == "eq":
         verdict = sp_eq(parse_span(args.a, config), parse_span(args.b, config))
         _emit(args, "elem eq", [args.a, args.b], "true" if verdict else "false")
-        return 0 if verdict or not getattr(args, "assert_", False) else 1
+        return 0 if verdict or not args.assert_ else 1
     if args.elem_cmd == "mul":
         g = sp_mul(parse_span(args.a, config), parse_span(args.b, config))
         _emit(args, "elem mul", [args.a, args.b], format_span(g))
@@ -81,20 +81,15 @@ def _cmd_elem(args, config) -> int:
         order = sp_order(parse_span(args.a, config), args.max)
         _emit(args, "elem order", [args.a], "none" if order is None else str(order))
         return 0
-    if args.elem_cmd == "realize":
-        table = realized_map(parse_span(args.a, config))
-        pieces = [f"{jd}:{cd} -> {jn}:{cn}" for (jd, cd), (jn, cn) in table]
-        if args.json:
-            print(
-                json.dumps(
-                    {"command": "elem realize", "inputs": [args.a], "result": pieces}
-                )
-            )
-        else:
-            for piece in pieces:
-                print(piece)
-        return 0
-    raise OperadError(f"unknown elem subcommand {args.elem_cmd!r}")
+    # realize: the required subparser admits no other name
+    table = realized_map(parse_span(args.a, config))
+    pieces = [f"{jd}:{cd} -> {jn}:{cn}" for (jd, cd), (jn, cn) in table]
+    if args.json:
+        print(json.dumps({"command": "elem realize", "inputs": [args.a], "result": pieces}))
+    else:
+        for piece in pieces:
+            print(piece)
+    return 0
 
 
 def _cmd_act(args, config) -> int:
@@ -141,22 +136,25 @@ def _cmd_cert(args, config) -> int:
             print(f"gamma2 order: {o2}")
             return 0 if report.ok else 1
         return _emit_report(args, report)
-    if args.cert_cmd == "infinite":
-        return _emit_report(args, infinite_order_check(config, args.max_n))
     if args.cert_cmd == "pingpong":
         reports = pingpong_reports(config, args.depth, args.max_len)
         return max(_emit_report(args, report) for report in reports)
-    if args.cert_cmd == "freeaction":
-        return _emit_report(
-            args, free_action_check(config, args.max_perm, args.depth)
-        )
-    if args.cert_cmd == "sigma":
-        return _emit_report(
-            args, sigma_span_report(config, args.max_perm, args.depth)
-        )
-    if args.cert_cmd == "padded":
-        return _emit_report(args, padded_certificates_check(config, args.max_n))
-    raise OperadError(f"unknown cert subcommand {args.cert_cmd!r}")
+    checks = {
+        "infinite": lambda: infinite_order_check(config, args.max_n),
+        "freeaction": lambda: free_action_check(config, args.max_perm, args.depth),
+        "sigma": lambda: sigma_span_report(config, args.max_perm, args.depth),
+        "padded": lambda: padded_certificates_check(config, args.max_n),
+    }
+    return _emit_report(args, checks[args.cert_cmd]())
+
+
+_COMMANDS = {
+    "elem": _cmd_elem,
+    "act": _cmd_act,
+    "partition": _cmd_partition,
+    "poset": _cmd_poset,
+    "cert": _cmd_cert,
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -252,17 +250,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = parse_backend(args.backend, args.flavor)
-        if args.command == "elem":
-            return _cmd_elem(args, config)
-        if args.command == "act":
-            return _cmd_act(args, config)
-        if args.command == "partition":
-            return _cmd_partition(args, config)
-        if args.command == "poset":
-            return _cmd_poset(args, config)
-        if args.command == "cert":
-            return _cmd_cert(args, config)
-        raise OperadError(f"unknown command {args.command!r}")
+        # the required subparsers refuse every other name before dispatch
+        return _COMMANDS[args.command](args, config)
     except (OperadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

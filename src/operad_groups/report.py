@@ -18,7 +18,3 @@ class Report:
 
     def failures(self) -> tuple:
         return tuple(row for row in self.rows if not row.get("ok", False))
-
-    def __str__(self):
-        verdict = "ok" if self.ok else f"{len(self.failures())} failing"
-        return f"{self.check}: {len(self.rows)} rows, {verdict}"

@@ -51,7 +51,7 @@ class TestBox:
         short_or_long = ((CUBE2, quarters[:3]), (TREE3, thirds[:2]), (CUBE1, halves + halves[:1]))
         for config, cells in short_or_long:
             with pytest.raises(og.NotPartitionError, match="total volume 1"):
-                og.op_validate_pattern(config, cells)
+                og.Operation(config, cells)
 
     def test_contains_nested_cells(self):
         half = og.Box((1,), (1,))  # [1/2, 1)
@@ -136,8 +136,6 @@ class TestOperationValidation:
     def test_rejects_unsorted_tree_cells(self):
         with pytest.raises(og.NotPartitionError):
             og.Operation(TREE2, (og.Box((1,), (1,)), og.Box((1,), (0,))))
-        with pytest.raises(og.NotPartitionError):
-            og.op_validate_pattern(TREE2, (og.Box((1,), (1,)), og.Box((1,), (0,))))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(og.NotPartitionError):
@@ -149,8 +147,8 @@ class TestOperationValidation:
 
     def test_cube_cell_order_is_data(self):
         halves = (og.Box((1,), (0,)), og.Box((1,), (1,)))
-        forward = og.op_validate_pattern(CUBE1, halves)
-        backward = og.op_validate_pattern(CUBE1, halves[::-1])
+        forward = og.Operation(CUBE1, halves)
+        backward = og.Operation(CUBE1, halves[::-1])
         assert forward != backward
         assert forward.cells == backward.cells[::-1]
 
@@ -170,7 +168,7 @@ class TestOperationValidation:
         for _ in range(50):
             cells = list(random_operation(CUBE2, rng, 5).cells)
             rng.shuffle(cells)
-            og.op_validate_pattern(CUBE2, tuple(cells))  # must not raise
+            og.Operation(CUBE2, tuple(cells))  # must not raise
 
     @pytest.mark.parametrize(
         "config, cells",

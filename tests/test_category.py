@@ -49,9 +49,9 @@ class TestArrowConstruction:
 
     def test_unsorted_cube_operations_are_absorbed_into_the_permutation(self):
         halves = (og.Box((1,), (0,)), og.Box((1,), (1,)))
-        backward = og.op_validate_pattern(CUBE1, halves[::-1])
+        backward = og.Operation(CUBE1, halves[::-1])
         arrow = og.Arrow(CUBE1, og.Permutation((0, 1)), (backward,))
-        assert arrow.forest == (og.op_validate_pattern(CUBE1, halves),)
+        assert arrow.forest == (og.Operation(CUBE1, halves),)
         assert arrow.perm == og.Permutation((1, 0))
         assert og.realize(arrow) == (
             (0, og.Box((1,), (1,))),

@@ -108,6 +108,15 @@ class TestPoset:
         assert rc == 0
         assert out == "filtered: true\npairs: 28\n"
 
+    def test_a_failing_pair_is_printed_and_exits_1(self, capsys, monkeypatch):
+        row = {"pair": "P <= Q", "ok": False}
+        monkeypatch.setattr(
+            "operad_groups.cli.check_filtered", lambda T: og.Report("filtered", (row,))
+        )
+        rc, out, _ = run(capsys, "poset", "filtered", "--depth", "1")
+        assert rc == 1
+        assert out == f"filtered: false\npairs: 1\n  FAIL {row}\n"
+
 
 class TestCert:
     def test_torsion(self, capsys):
@@ -126,6 +135,16 @@ class TestCert:
     def test_infinite(self, capsys):
         rc, out, _ = run(capsys, "cert", "infinite", "--max-n", "8")
         assert rc == 0 and out == "infinite_order: 8 checks, ok\n"
+
+    def test_a_failing_row_is_printed_and_exits_1(self, capsys, monkeypatch):
+        row = {"instance": "n=1", "ok": False, "witness": "1"}
+        monkeypatch.setattr(
+            "operad_groups.cli.infinite_order_check",
+            lambda config, max_n: og.Report("infinite_order", (row,)),
+        )
+        rc, out, _ = run(capsys, "cert", "infinite")
+        assert rc == 1
+        assert out == f"infinite_order: 1 checks, 1 failures\n  FAIL {row}\n"
 
     def test_pingpong_with_words(self, capsys):
         rc, out, _ = run(

@@ -4,12 +4,13 @@ the package is bounded."""
 import importlib
 import pkgutil
 import time
+import tracemalloc
 
 import pytest
 
 import operad_groups as og
 from operad_groups.cli import main
-from helpers import CUBE2, TREE2, TREE3, _PieceIndex
+from helpers import CUBE1, CUBE2, TREE2, TREE3, _PieceIndex
 
 SWAP = "(. .) | p[1,0] ; (. .)"
 
@@ -169,6 +170,23 @@ class TestComputedDepthCap:
             og.cell_operation(config, box)
         with pytest.raises(og.DepthError, match=message):
             og.ball_at(config, 1, 0, box)
+
+    def test_a_negative_exponent_is_refused_before_any_power(self):
+        # the depth cap skips a cell with a negative exponent, so in_range
+        # must see that sign before it computes 2**(10**7) for the other axis
+        box = og.Box((10**7, -1), (0, 0))
+        for refuse, message in (
+            (lambda: og.Operation(CUBE2, (box,)), "lies outside the unit cube"),
+            (lambda: og.ball_at(CUBE2, 1, 0, box), "does not fit"),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(og.NotPartitionError, match=message):
+                    refuse()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, peak
 
     def test_a_meet_deeper_than_both_its_cells_is_refused(self):
         # p's thinnest strips (0, 256) meet q's halves (1, 255) in cells of
@@ -442,6 +460,134 @@ class TestOneRefusalPath:
         assert info.traceback[-1].name == "refuse_past"
 
 
+def _marked(text, config=TREE2):
+    return og.SemiPartitionClass(og.parse_marked_arrow(text, config))
+
+
+_HALF_MARKED = "(. .) @ m[0:a 1:-]"
+_TWO_SYMBOLS = "(. .) @ m[0:a 1:b]"
+_ONE = og.Arrow.identity(TREE2, 1)
+_SPLIT = og.Arrow.from_forest(TREE2, (og.op_generator(TREE2),))
+_SWAPPED_SPLIT = og.Arrow(TREE2, og.Permutation((1, 0)), (og.op_generator(TREE2),))
+
+
+# (call, code, message): each typed refusal of the API, raised by its own check
+_REFUSALS = [
+    (lambda: og.BackendConfig("bogus", 2), "E_PARSE", "unknown backend kind"),
+    (lambda: og.BackendConfig.tree(2, "bogus"), "E_PARSE", "unknown flavor"),
+    (lambda: og.Box((1,), ()), "E_PARSE", "one exponent and one offset"),
+    (lambda: og.parse_operation("{ }", CUBE2), "E_PARSE", "at least one box"),
+    (lambda: og.Operation(TREE2, ()), "E_NOT_PARTITION", "at least one cell"),
+    (lambda: og.cell_operation(CUBE2, og.Box((1,), (0,))), "E_NOT_PARTITION", "does not fit"),
+    (
+        lambda: og.StabilizerWitness(_marked(_HALF_MARKED), (2,), _ONE),
+        "E_NOT_PARTITION",
+        "needs a partition",
+    ),
+    (
+        lambda: og.StabilizerWitness(_marked(_TWO_SYMBOLS), (1,), _SPLIT),
+        "E_NOT_PARTITION",
+        "subwords must tile",
+    ),
+    (
+        lambda: og.StabilizerWitness(_marked(_TWO_SYMBOLS), (2,), _SPLIT),
+        "E_NOT_PARTITION",
+        "one subword per symbol",
+    ),
+    (
+        lambda: og.op_common_refinement(og.op_identity(TREE2), og.op_identity(CUBE1)),
+        "E_BASE_MISMATCH",
+        "refinement across different backends",
+    ),
+    (
+        lambda: og.Span(_ONE, og.Arrow.identity(CUBE1, 1)),
+        "E_BASE_MISMATCH",
+        "span legs from different backends",
+    ),
+    (
+        lambda: og.Span(og.Arrow.identity(TREE2, 2), _SPLIT),
+        "E_BASE_MISMATCH",
+        "span legs end at different base words",
+    ),
+    (
+        lambda: og.xi(
+            (og.sp_identity(TREE2, 2), og.sp_identity(TREE2, 1)),
+            og.StabilizerWitness.from_partition(_marked(_TWO_SYMBOLS)),
+        ),
+        "E_BASE_MISMATCH",
+        "component based at length 2, block has 1",
+    ),
+    (
+        lambda: og.decompose(
+            og.sp_identity(TREE2, 2),
+            og.StabilizerWitness.from_partition(_marked(_TWO_SYMBOLS)),
+        ),
+        "E_BASE_MISMATCH",
+        "span and witness live over different bases",
+    ),
+    (
+        lambda: og.refine_to_n(
+            _marked(_TWO_SYMBOLS), _marked(". , . @ m[0:a 1:b]"), 1, 1
+        ),
+        "E_BASE_MISMATCH",
+        "partitions over different bases",
+    ),
+    (
+        lambda: og.Arrow(TREE2, og.Permutation((0,)), (og.op_identity(CUBE1),)),
+        "E_DOMAIN_MISMATCH",
+        "forest operation from a different backend",
+    ),
+    (
+        lambda: og.compose(_ONE, og.Arrow.identity(CUBE1, 1)),
+        "E_DOMAIN_MISMATCH",
+        "composition across different backends",
+    ),
+    (
+        lambda: og.square_fill(_ONE, og.Arrow.identity(CUBE1, 1)),
+        "E_CODOMAIN_MISMATCH",
+        "cospan arrows from different backends",
+    ),
+    (
+        lambda: og.push_perm((og.op_identity(TREE2),), og.Permutation((1, 0))),
+        "E_SIZE_MISMATCH",
+        "forest of 1 operations under degree-2 permutation",
+    ),
+    (
+        lambda: og.Permutation((0,)) * og.Permutation((1, 0)),
+        "E_SIZE_MISMATCH",
+        "degree 1 vs 2",
+    ),
+    (
+        lambda: og.Permutation((1, 0)).permute((0,)),
+        "E_SIZE_MISMATCH",
+        "1 items under degree-2 permutation",
+    ),
+    (
+        lambda: og.object_class(_marked(_TWO_SYMBOLS)),
+        "E_NOT_MULTIBALL",
+        "object class of a non-multiball",
+    ),
+    (
+        lambda: og.combine_fillings((_ONE, _ONE), (_SPLIT, _SWAPPED_SPLIT), (_ONE, _ONE)),
+        "E_NOT_FILLINGS",
+        "second pair does not fill the cospan",
+    ),
+]
+
+
+class TestEveryTypedRefusal:
+    @pytest.mark.parametrize(
+        "call, code, message", _REFUSALS, ids=[message for _, _, message in _REFUSALS]
+    )
+    def test_the_call_is_refused_with_its_code(self, call, code, message):
+        with pytest.raises(og.OperadError, match=message) as info:
+            call()
+        assert info.value.code == code
+
+    def test_an_empty_pattern_is_refused_through_the_command_line(self, capsys):
+        assert_typed_exit(capsys, "E_PARSE", "--backend", "cube:d=2", "elem", "inv", "{ } | .")
+
+
 class TestMemos:
     def test_every_memo_is_bounded(self):
         memos = {}
@@ -450,9 +596,16 @@ class TestMemos:
                 continue  # running it is the command line
             module = importlib.import_module(f"operad_groups.{info.name}")
             for name, value in vars(module).items():
-                if callable(getattr(value, "cache_info", None)):
+                # counted where it is defined, not where it is imported
+                if callable(getattr(value, "cache_info", None)) and value.__module__ == module.__name__:
                     memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-        assert "backend.op_common_refinement" in memos
-        assert "category.square_fill" in memos
+        # the exact set: adding or dropping a memo is a visible edit here
+        assert set(memos) == {
+            "backend._validate_cells",
+            "backend.op_identity",
+            "backend.op_common_refinement",
+            "backend.operations_with_gens",
+            "category.square_fill",
+        }
         unbounded = [name for name, size in memos.items() if size is None]
         assert not unbounded
