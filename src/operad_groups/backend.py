@@ -638,14 +638,15 @@ def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, .
         return (op_identity(config),)
     base, cube = config.base, config.kind == DYADIC_CUBE
     whole = Box.whole(config.dim)
-    shapes = {}  # insertion-ordered, one key per shape
+    shapes = []
     for axis in range(config.dim):
         slices = [whole.child(axis, t, base) for t in range(base)]
         for split in _compositions(gens - 1, base):
             pools = [operations_with_gens(config, g) for g in split]
             for parts in itertools.product(*pools):
-                cells = [c.inside(s, base) for s, op in zip(slices, parts) for c in op.cells]
-                shapes[_sorted_cells(cells, base) if cube else tuple(cells)] = None
+                shapes.append(
+                    tuple(c.inside(s, base) for s, op in zip(slices, parts) for c in op.cells)
+                )
     if cube:
 
         def key(shape):
@@ -656,7 +657,7 @@ def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, .
                 for c in shape
             ]
 
-        shapes = sorted(shapes, key=key)
+        shapes = sorted({_sorted_cells(cells, base) for cells in shapes}, key=key)
     return tuple(Operation._sorted(config, cells) for cells in shapes)
 
 
