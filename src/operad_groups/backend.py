@@ -256,8 +256,8 @@ class Operation:
     every tree operation; otherwise it sends each stored cell position to
     its sorted position.  It plays no part in equality.
 
-    ``Operation(config, cells)`` checks that the cells tile; ``_sorted``
-    takes cells that tile by construction.
+    ``Operation(config, cells)`` checks that the cells tile; ``_tiled``
+    and ``_sorted`` take cells that tile by construction.
     """
 
     config: BackendConfig
@@ -267,23 +267,36 @@ class Operation:
     def __post_init__(self):
         # the memo hands back the first equal cell tuple it saw, so equal
         # operations share their cells
-        cells, rank = _validate_cells(self.config, self.cells)
+        cells, rank = _validate_cells(self.config, self.cells, False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "rank", rank)
+
+    @classmethod
+    def _tiled(cls, config: BackendConfig, cells: tuple[Box, ...]) -> "Operation":
+        """An operation whose cells tile the unit cube by construction, in
+        any order: a graft, a relative piece of a refinement or a nested
+        literal.  Substituting tilings into tilings tiles again, so the
+        memo checks only the cell count and each cell's depth, finds the
+        ``rank`` and hands equal operations one shared cell tuple."""
+        cells, rank = _validate_cells(config, cells, True)
+        return cls._trusted(config, cells, rank)
 
     @classmethod
     def _sorted(cls, config: BackendConfig, cells: tuple[Box, ...]) -> "Operation":
         """An operation whose cells tile the unit cube in lexicographic
         order by construction: splits of the whole cube, the meets of two
-        tilings or a sorted copy of a valid operation.  Substituting
-        tilings into tilings, or overlaying two, tiles again, so only the
-        cell count is checked: no tiling check, no sort and no memo key.
-        The caller answers for ``MAX_CELL_DEPTH``."""
+        tilings or a sorted copy of a valid operation.  Only the cell
+        count is checked: no tiling check, no sort and no memo key.  The
+        caller answers for ``MAX_CELL_DEPTH``."""
         _check_count(cells)
+        return cls._trusted(config, cells, None)
+
+    @classmethod
+    def _trusted(cls, config, cells, rank) -> "Operation":
         op = object.__new__(cls)
         object.__setattr__(op, "config", config)
         object.__setattr__(op, "cells", cells)
-        object.__setattr__(op, "rank", None)
+        object.__setattr__(op, "rank", rank)
         return op
 
     @property
@@ -298,19 +311,26 @@ class Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, tuple | None]:
+def _validate_cells(cfg: BackendConfig, cells, tiled: bool) -> tuple[tuple, tuple | None]:
     """The cells and their ``Operation.rank``, once the cells are known to
     tile the unit cube as ``cfg`` demands.
 
-    Tree cells tile in order exactly when a walk down the k-ary tree meets
-    them left to right; cube cells must pass the recursive midpoint-cut
-    check, where every leaf equals its box and no half is empty.  Both
-    checks are complete on their own.  The volume sum and the overlap scan
-    run only on a rejected pattern, so that its error names the first fault
-    in the order volume, overlap, cell order, cut structure.
+    ``tiled`` cells tile by construction, so only their count and depths
+    are checked.  Otherwise tree cells tile in order exactly when a walk
+    down the k-ary tree meets them left to right; cube cells must pass the
+    recursive midpoint-cut check, where every leaf equals its box and no
+    half is empty.  Both checks are complete on their own.  The volume sum
+    and the overlap scan run only on a rejected pattern, so that its error
+    names the first fault in the order volume, overlap, cell order, cut
+    structure.
     """
     # memoized: the same operation is rebuilt constantly by composition
     base, dim = cfg.base, cfg.dim
+    if tiled:
+        _check_count(cells)
+        for c in cells:
+            _check_depth(c)
+        return cells, _rank(cells, base) if cfg.kind == DYADIC_CUBE else None
     if not cells:
         raise NotPartitionError("an operation needs at least one cell")
     _check_count(cells)
@@ -331,13 +351,18 @@ def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, tuple | None]:
     except (NotPartitionError, NotGuillotineError):
         _check_volume_and_overlap(cells, base)
         raise
+    return cells, _rank(cells, base)
+
+
+def _rank(cells, base: int) -> tuple[int, ...] | None:
+    """``Operation.rank`` of cube cells that tile."""
     order = _sorted_order(cells, base)
     if order == list(range(len(order))):
-        return cells, None
+        return None
     rank = [0] * len(order)
     for position, i in enumerate(order):
         rank[i] = position
-    return cells, tuple(rank)
+    return tuple(rank)
 
 
 def _check_count(cells) -> None:
@@ -436,10 +461,11 @@ def op_subst(outer: Operation, inners) -> Operation:
     Cell order is the grafting order: outer's slots in sequence, each
     expanded to the transported cells of its inner operation.  Under the
     unit laws the result is an operand itself: the sole inner operation when
-    ``outer`` is the identity, ``outer`` when every inner one is.  The
-    result goes through the full check, which finds its ``rank`` (the
-    grafting order is seldom sorted on cubes) and refuses a cell past
-    ``MAX_CELL_DEPTH``.
+    ``outer`` is the identity, ``outer`` when every inner one is, and a slot
+    whose inner operation has one cell keeps its own cell.  Grafting
+    tilings into tilings tiles, so the result is built tiled: its memo
+    finds the ``rank`` (the grafting order is seldom sorted on cubes),
+    refuses a cell past ``MAX_CELL_DEPTH`` and shares equal cell tuples.
     """
     inners = tuple(inners)
     if len(inners) != outer.arity:
@@ -456,8 +482,11 @@ def op_subst(outer: Operation, inners) -> Operation:
     base = outer.config.base
     cells = []
     for slot_cell, inner in zip(outer.cells, inners):
-        cells.extend(c.inside(slot_cell, base) for c in inner.cells)
-    return Operation(outer.config, tuple(cells))
+        if inner.arity == 1:
+            cells.append(slot_cell)
+        else:
+            cells.extend(c.inside(slot_cell, base) for c in inner.cells)
+    return Operation._tiled(outer.config, tuple(cells))
 
 
 def op_compose(outer: Operation, slot: int, inner: Operation) -> Operation:
@@ -492,10 +521,11 @@ def op_common_refinement(p: Operation, q: Operation):
 
     The meets of two tilings tile, and they are listed sorted, so r is
     built trusted.  A cube meet can be deeper than both its cells, so r's
-    cells are held to ``MAX_CELL_DEPTH`` here.  Each phi keeps the full
-    check, whose memo hands equal phis one shared cell tuple: built
-    trusted, phi read ``cube_classes`` op p50 3-10% slower in paired runs
-    on a 2-vCPU host, even on ops whose refinements all hit this memo.
+    cells are held to ``MAX_CELL_DEPTH`` here.  The meets inside one cell
+    of p tile that cell, so each phi is built tiled: with no tiling check,
+    but through the memo, which hands equal phis one shared cell tuple.
+    Built without the memo, phis read ``cube_classes`` op p50 3-10% slower
+    in paired runs on a 2-vCPU host and held more memory.
     """
     if p.config is not q.config and p.config != q.config:
         raise BaseMismatchError("refinement across different backends")
@@ -531,7 +561,7 @@ def op_common_refinement(p: Operation, q: Operation):
                 phi.append(unit)
             else:
                 cells = tuple(r.cells[rank].rescale_from(c, base) for rank in sub)
-                phi.append(Operation(config, cells))
+                phi.append(Operation._tiled(config, cells))
         return tuple(phi), tuple(map(tuple, subs))
 
     phi_p, ranks_p = relative(p, 0)
@@ -707,7 +737,9 @@ def _parse_nested(text: str, config: BackendConfig) -> Operation:
     k slices along axis 0, and a cut node ``[axis low high]`` halves it
     along the axis.  The axis is range-checked as it is read and the depth
     cap at each opener, so a refused literal costs no deeper descent.  A
-    cube's cells are sorted afterwards; a tree's come out left to right."""
+    cube's cells are sorted afterwards; a tree's come out left to right.
+    The grammar admits only tilings, so the result is built tiled: the
+    memo checks its cell count and shares equal cell tuples."""
     tokens = iter(_NESTED_TOKEN_RE.findall(text))
     opener, closer = ("(", ")") if config.kind == KARY_TREE else ("[", "]")
     base, dim = config.base, config.dim
@@ -742,7 +774,7 @@ def _parse_nested(text: str, config: BackendConfig) -> Operation:
         raise ParseError(f"trailing tokens in literal: {text!r}")
     if config.kind == DYADIC_CUBE and len(cells) > 1:
         cells = _sorted_cells(cells, 2)
-    return Operation(config, tuple(cells))
+    return Operation._tiled(config, tuple(cells))
 
 
 def _format_tree(op: Operation) -> str:

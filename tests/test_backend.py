@@ -366,8 +366,9 @@ class TestCommonRefinement:
 
 
 class TestTrustedOperations:
-    """Operations built from splits, meets or a sort skip the tiling check
-    and must equal what the check would have built."""
+    """Operations built from splits, meets, a sort, grafts or a nested
+    literal skip the tiling check and must equal what the check would have
+    built."""
 
     CONFIGS = (TREE2, TREE3, PLANAR2, CUBE1, CUBE2, CUBE3)
 
@@ -410,9 +411,9 @@ class TestTrustedOperations:
         calls = []
         validate = backend._validate_cells
 
-        def counted(config, cells):
+        def counted(config, cells, tiled):
             calls.append(cells)
-            return validate(config, cells)
+            return validate(config, cells, tiled)
 
         monkeypatch.setattr(backend, "_validate_cells", counted)
         rng = random.Random(71)
@@ -426,6 +427,85 @@ class TestTrustedOperations:
                 arrow = og.Arrow.from_forest(config, forest)
                 assert len(calls) == len(forest) and arrow.forest == a.forest
         assert unsorted > 0
+
+    @staticmethod
+    def literal(op):
+        """The tree literal of a tree operation, else a cut-tree literal of
+        the cube cells, cut at each node along the first free axis."""
+        if op.config.kind == og.KARY_TREE:
+            return og.format_operation(op)
+
+        def cut(cells, box):
+            if len(cells) == 1:
+                return "."
+            axis = next(
+                a for a in range(box.dim) if all(c.exps[a] > box.exps[a] for c in cells)
+            )
+            halves = ([], [])
+            for c in cells:
+                halves[c.offs[axis] >> (c.exps[axis] - box.exps[axis] - 1) & 1].append(c)
+            low, high = (cut(h, box.child(axis, t, 2)) for t, h in enumerate(halves))
+            return f"[{axis} {low} {high}]"
+
+        return cut(op.cells, og.Box.whole(op.config.dim))
+
+    def tiled_operations(self, config, n):
+        """Grafts, the refinement pieces phi of pairs of them and the reads
+        of their literals: each is built with no tiling check."""
+        rng = random.Random(80 + n)
+        grafts = [random_operation(config, rng, gens) for gens in range(6)]  # op_compose
+        grafts += [og.op_comb(config, 3, side) for side in ("left", "right")]
+        for _ in range(20):
+            outer = random_operation(config, rng, rng.randrange(4))
+            inners = [random_operation(config, rng, rng.randrange(3)) for _ in outer.cells]
+            grafts.append(og.op_subst(outer, inners))
+        yield from grafts
+        for p, q in zip(grafts, grafts[1:]):
+            _, phi_p, phi_q, _, _ = og.op_common_refinement(p, q)
+            yield from phi_p + phi_q
+        for op in grafts:
+            yield og.parse_operation(self.literal(op), config)
+
+    def test_each_tiled_one_equals_its_validated_twin(self):
+        unsorted = 0
+        for n, config in enumerate(self.CONFIGS):
+            for op in self.tiled_operations(config, n):
+                twin = og.Operation(config, op.cells)
+                assert op == twin and repr(op) == repr(twin), str(op)
+                assert op.rank == twin.rank, str(op)
+                unsorted += op.rank is not None
+        assert unsorted > 0  # cube grafts list their cells in grafting order
+
+    def test_tiled_ones_skip_the_tiling_check(self, monkeypatch):
+        # empty memos, so that every tiled operation below is a miss
+        backend._validate_cells.cache_clear()
+        og.op_common_refinement.cache_clear()
+        calls = []
+        for name in ("_tiles_in_order", "_check_guillotine"):
+
+            def counted(*args, _check=getattr(backend, name)):
+                calls.append(_check.__name__)
+                return _check(*args)
+
+            monkeypatch.setattr(backend, name, counted)
+        for n, config in enumerate(self.CONFIGS):
+            list(self.tiled_operations(config, n))
+        assert calls == []
+
+    def test_equal_tiled_ones_share_their_cells(self):
+        for config in self.CONFIGS:
+            last = config.dim - 1
+            grafts = [
+                og.op_compose(og.op_generator(config), 0, og.op_generator(config, last)),
+                og.op_subst(
+                    og.op_generator(config),
+                    [og.op_generator(config, last)] + [og.op_identity(config)] * (config.base - 1),
+                ),
+            ]
+            assert grafts[0] == grafts[1] and grafts[0].cells is grafts[1].cells
+            text = self.literal(grafts[0])
+            reads = [og.parse_operation(text, config) for _ in range(2)]
+            assert reads[0] == reads[1] and reads[0].cells is reads[1].cells
 
 
 class TestRealize:

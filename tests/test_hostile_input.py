@@ -256,6 +256,16 @@ class TestOperationCellCap:
         assert_typed_exit(capsys, "E_DEPTH", "--backend", "tree:k=64", *argv)
         assert time.perf_counter() - t0 < 10
 
+    def test_a_literal_past_the_cap_is_refused(self, capsys):
+        # the 65-generator comb has 4096 cells; a 64-way split in place of
+        # its first leaf adds 63
+        comb = og.format_operation(og.op_comb(self.TREE64, 65))
+        literal = comb.replace(".", "(" + " ".join("." * 64) + ")", 1)
+        rc, out, err = run(capsys, "--backend", "tree:k=64", "elem", "inv", f"{literal} | {literal}")
+        assert rc == 2 and out == ""
+        cap = og.MAX_OPERATION_CELLS
+        assert err.startswith(f"error: E_DEPTH: {cap + 63} cells exceed the cap {cap}"), err
+
 
 class TestPowerCap:
     def test_powers_up_to_the_cap(self, capsys):
