@@ -42,15 +42,16 @@ MAX_CELL_DEPTH = 256
 
 # The most cells one operation may have, given or computed.  A power of an
 # infinite-order element grows its legs with every step (the shift's n-th
-# power on tree:k=64 carries 63n + 64 cells per leg), and validating an
-# operation is quadratic in its arity, so MAX_EXPONENT alone does not bound
-# the time a power takes.
+# power on tree:k=64 carries 63n + 64 cells per leg), so MAX_EXPONENT alone
+# does not bound the time a power takes.  Accepting a given pattern costs
+# O(cells x depth); only a refused one's overlap scan is quadratic in its
+# arity.
 MAX_OPERATION_CELLS = 4096
 
 # The largest k of a tree backend and d of a cube backend, so that no backend
-# name buys unbounded time: a single tree split has arity k and validating an
-# operation is quadratic in its arity, and cube enumerations range over all
-# d axes.
+# name buys unbounded time: a single tree split has arity k, the overlap
+# scan that names a refused pattern's fault is quadratic in its arity, and
+# cube enumerations range over all d axes.
 MAX_BACKEND_SIZE = 64
 
 
@@ -151,12 +152,6 @@ class Box:
         offs[axis] = offs[axis] * base + digit
         return Box(tuple(exps), tuple(offs))
 
-    def contains(self, other: "Box", base: int) -> bool:
-        for e1, a1, e2, a2 in zip(self.exps, self.offs, other.exps, other.offs):
-            if e2 < e1 or a2 // base ** (e2 - e1) != a1:
-                return False
-        return True
-
     def meet(self, other: "Box", base: int) -> "Box | None":
         """Intersection; standard cells are laminar per axis, so this is a
         cell or empty.  An operand inside the other is returned itself."""
@@ -256,8 +251,10 @@ class Operation:
     every tree operation; otherwise it sends each stored cell position to
     its sorted position.  It plays no part in equality.
 
-    ``Operation(config, cells)`` checks that the cells tile; ``_tiled``
-    and ``_sorted`` take cells that tile by construction.
+    ``Operation(config, cells)`` is the boundary for untrusted cells and
+    the only caller of the tiling check; it then shares the memo of
+    ``_tiled``, which takes cells that tile by construction.  ``_sorted``
+    takes cells that tile in sorted order by construction.
     """
 
     config: BackendConfig
@@ -265,9 +262,10 @@ class Operation:
     rank: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_tiling(self.config, self.cells)
         # the memo hands back the first equal cell tuple it saw, so equal
         # operations share their cells
-        cells, rank = _validate_cells(self.config, self.cells, False)
+        cells, rank = _validate_cells(self.config, self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "rank", rank)
 
@@ -275,10 +273,10 @@ class Operation:
     def _tiled(cls, config: BackendConfig, cells: tuple[Box, ...]) -> "Operation":
         """An operation whose cells tile the unit cube by construction, in
         any order: a graft, a relative piece of a refinement or a nested
-        literal.  Substituting tilings into tilings tiles again, so the
-        memo checks only the cell count and each cell's depth, finds the
-        ``rank`` and hands equal operations one shared cell tuple."""
-        cells, rank = _validate_cells(config, cells, True)
+        literal.  Substituting tilings into tilings tiles again, so these
+        skip the tiling check and go straight to the memo that
+        ``Operation(config, cells)`` shares."""
+        cells, rank = _validate_cells(config, cells)
         return cls._trusted(config, cells, rank)
 
     @classmethod
@@ -311,26 +309,26 @@ class Operation:
 
 
 @functools.lru_cache(maxsize=8192)
-def _validate_cells(cfg: BackendConfig, cells, tiled: bool) -> tuple[tuple, tuple | None]:
-    """The cells and their ``Operation.rank``, once the cells are known to
-    tile the unit cube as ``cfg`` demands.
-
-    ``tiled`` cells tile by construction, so only their count and depths
-    are checked.  Otherwise tree cells tile in order exactly when a walk
-    down the k-ary tree meets them left to right; cube cells must pass the
-    recursive midpoint-cut check, where every leaf equals its box and no
-    half is empty.  Both checks are complete on their own.  The volume sum
-    and the overlap scan run only on a rejected pattern, so that its error
-    names the first fault in the order volume, overlap, cell order, cut
-    structure.
-    """
+def _validate_cells(cfg: BackendConfig, cells) -> tuple[tuple, tuple | None]:
+    """The cells and their ``Operation.rank``, for cells that tile the unit
+    cube as ``cfg`` demands: the cell count and each cell's depth are
+    checked, and equal cell tuples come back as the first one seen.  Tree
+    cells reach it in order, so only cube cells are sorted."""
     # memoized: the same operation is rebuilt constantly by composition
+    _check_count(cells)
+    for c in cells:
+        _check_depth(c)
+    return cells, _rank(cells, cfg.base) if cfg.kind == DYADIC_CUBE else None
+
+
+def _check_tiling(cfg: BackendConfig, cells) -> None:
+    """Refuse given cells unless they tile the unit cube as ``cfg`` demands:
+    they must come apart by the cut walk, and tree cells must be listed
+    left to right.  The walk is complete on its own; the volume sum and
+    the overlap scan run only on a rejected pattern, so that its error
+    names the first fault in the order volume, overlap, cut structure,
+    cell order."""
     base, dim = cfg.base, cfg.dim
-    if tiled:
-        _check_count(cells)
-        for c in cells:
-            _check_depth(c)
-        return cells, _rank(cells, base) if cfg.kind == DYADIC_CUBE else None
     if not cells:
         raise NotPartitionError("an operation needs at least one cell")
     _check_count(cells)
@@ -340,18 +338,12 @@ def _validate_cells(cfg: BackendConfig, cells, tiled: bool) -> tuple[tuple, tupl
         _check_depth(c)  # first: in_range computes base**e
         if not c.in_range(base):
             raise NotPartitionError(f"cell {c} lies outside the unit cube")
-    if cfg.kind == KARY_TREE:
-        if not _tiles_in_order(cells, base):
-            _check_volume_and_overlap(cells, base)
-            # disjoint cells of total volume 1 tile the interval: out of order
-            raise NotPartitionError("tree cells must be listed left to right")
-        return cells, None
-    try:
-        _check_guillotine(cells, Box.whole(dim), dim)
-    except (NotPartitionError, NotGuillotineError):
+    if not _cuts_apart(cells, (0,) * dim, base):
         _check_volume_and_overlap(cells, base)
-        raise
-    return cells, _rank(cells, base)
+        # disjoint cells of total volume 1 tile the cube: not by cuts
+        raise NotGuillotineError("no axis midplane is free of crossing cells")
+    if cfg.kind == KARY_TREE and _rank(cells, base) is not None:
+        raise NotPartitionError("tree cells must be listed left to right")
 
 
 def _rank(cells, base: int) -> tuple[int, ...] | None:
@@ -383,24 +375,6 @@ def _heap_index(cell: Box, k: int) -> int:
     return k ** cell.exps[0] + cell.offs[0]
 
 
-def _tiles_in_order(cells, k: int) -> bool:
-    """Whether tree cells, as listed, are the leaves of a k-ary split of the
-    unit interval from left to right.  ``todo`` holds the heap indices of
-    the subtrees still to cover, the next one last; a cell must be the next
-    subtree or lie at its left end, which is then split."""
-    todo = [1]
-    for cell in cells:
-        if not todo:
-            return False
-        h, t = _heap_index(cell, k), todo.pop()
-        while t < h:
-            t *= k
-            todo.extend(range(t + k - 1, t, -1))
-        if t != h:
-            return False
-    return not todo
-
-
 def _check_volume_and_overlap(cells, base):
     """Name the fault of in-range cells that do not tile the unit cube: a
     total volume other than 1, else the first overlapping pair."""
@@ -415,26 +389,23 @@ def _check_volume_and_overlap(cells, base):
                 raise NotPartitionError(f"cells {cells[i]} and {cells[j]} overlap")
 
 
-def _check_guillotine(cells, box, dim):
-    """Cells must arise from ``box`` by recursive midpoint hyperplane cuts."""
+def _cuts_apart(cells, exps: tuple[int, ...], base: int) -> bool:
+    """Whether cells inside a box with exponents ``exps`` arise from it by
+    recursive cuts, each into ``base`` slices along one axis; trees are the
+    one-axis case.  A box is cut along the first axis that every cell
+    refines, which on a tiling loses nothing, since those cells never cross
+    its slices.  Each cell goes to the slice it lies in, so a lone cell is
+    its box exactly when their exponents agree."""
     if len(cells) == 1:
-        if cells[0] != box:
-            raise NotPartitionError(f"stray cell {cells[0]} does not match its half")
-        return
-    if not cells:
-        raise NotPartitionError("a half of a midpoint cut is uncovered")
-    for axis in range(dim):
-        halves = ([], [])
-        for c in cells:
-            if c.exps[axis] <= box.exps[axis]:
-                break  # crosses the midplane of this axis
-            digit = c.offs[axis] >> (c.exps[axis] - box.exps[axis] - 1) & 1
-            halves[digit].append(c)
-        else:
-            for digit in (0, 1):
-                _check_guillotine(tuple(halves[digit]), box.child(axis, digit, 2), dim)
-            return
-    raise NotGuillotineError("no axis midplane is free of crossing cells")
+        return cells[0].exps == exps
+    for axis, e in enumerate(exps):
+        if all(c.exps[axis] > e for c in cells):
+            slices = [[] for _ in range(base)]
+            for c in cells:
+                slices[c.offs[axis] // base ** (c.exps[axis] - e - 1) % base].append(c)
+            inner = exps[:axis] + (e + 1,) + exps[axis + 1 :]
+            return all(part and _cuts_apart(part, inner, base) for part in slices)
+    return False
 
 
 @functools.lru_cache(maxsize=256)

@@ -56,9 +56,10 @@ class TestBox:
     def test_contains_nested_cells(self):
         half = og.Box((1,), (1,))  # [1/2, 1)
         quarter = og.Box((2,), (3,))  # [3/4, 1)
-        assert half.contains(quarter, 2)
-        assert not quarter.contains(half, 2)
-        assert not half.contains(og.Box((2,), (1,)), 2)
+        # an operand inside the other is what their meet returns
+        assert half.meet(quarter, 2) is quarter
+        assert quarter.meet(half, 2) is not half
+        assert half.meet(og.Box((2,), (1,)), 2) is None
 
     def test_meet_of_nested_cells_is_the_deeper_one(self):
         half = og.Box((1,), (1,))
@@ -83,7 +84,7 @@ class TestBox:
         outer = og.Box((1, 2), (1, 3))
         inner = og.Box((2, 1), (2, 1))
         placed = inner.inside(outer, 2)
-        assert outer.contains(placed, 2)
+        assert outer.meet(placed, 2) is placed
         assert placed.rescale_from(outer, 2) == inner
 
     def test_deep_offsets_stay_exact(self):
@@ -93,8 +94,7 @@ class TestBox:
             box = box.child(0, 1, 2)
         assert box == og.Box((60,), (2**60 - 1,))
         parent = og.Box((59,), (2**59 - 1,))
-        assert parent.contains(box, 2)
-        assert parent.meet(box, 2) == box
+        assert parent.meet(box, 2) is box
         off_by_one = og.Box((59,), (2**59 - 2,))
         assert off_by_one.meet(box, 2) is None
 
@@ -195,10 +195,12 @@ class TestOperationValidation:
 
     def test_outcomes_match_the_reference_validation(self):
         rng = random.Random(31)
-        for config in CONFIGS:
+        for config in CONFIGS + (og.BackendConfig.tree(5), PLANAR2):
             patterns = list(perturbed_patterns(config, rng, 300))
             if config == CUBE3:
                 patterns += [PINWHEEL, PINWHEEL[::-1], PINWHEEL[1:], PINWHEEL + PINWHEEL[:1]]
+            if config.kind == og.KARY_TREE:
+                patterns += [op.cells for op in og.operations_up_to(config, 4)]
             for cells in patterns:
                 got = validation_outcome(lambda c, xs: og.Operation(c, xs).cells, config, cells)
                 assert got == validation_outcome(reference_validate, config, cells), cells
@@ -411,9 +413,9 @@ class TestTrustedOperations:
         calls = []
         validate = backend._validate_cells
 
-        def counted(config, cells, tiled):
+        def counted(config, cells):
             calls.append(cells)
-            return validate(config, cells, tiled)
+            return validate(config, cells)
 
         monkeypatch.setattr(backend, "_validate_cells", counted)
         rng = random.Random(71)
@@ -481,7 +483,7 @@ class TestTrustedOperations:
         backend._validate_cells.cache_clear()
         og.op_common_refinement.cache_clear()
         calls = []
-        for name in ("_tiles_in_order", "_check_guillotine"):
+        for name in ("_cuts_apart", "_check_tiling"):
 
             def counted(*args, _check=getattr(backend, name)):
                 calls.append(_check.__name__)

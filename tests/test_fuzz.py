@@ -5,11 +5,12 @@ import contextlib
 import io
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 import operad_groups as og
 from operad_groups.cli import main
-from helpers import CUBE2, PLANAR2, TREE2, TREE3
+from helpers import CUBE2, PLANAR2, TREE2, TREE3, reference_validate, validation_outcome
 
 def fuzz(examples):
     return settings(
@@ -95,6 +96,29 @@ class TestParsers:
     def test_parsers_over_a_backend(self, text, config):
         for parse in WITH_CONFIG:
             parses_or_refuses(parse, text, config)
+
+
+# Given cells are refused for volume or overlap before their cut structure
+# is named, so any tuple of standard cells must meet the same fate in the
+# kernel as in the reference validation, message included.
+CELL_CONFIGS = (
+    TREE2,
+    TREE3,
+    og.BackendConfig.tree(5),
+    og.BackendConfig.cube(1),
+    CUBE2,
+    og.BackendConfig.cube(3),
+)
+
+
+@pytest.mark.parametrize("config", CELL_CONFIGS, ids=str)
+@fuzz(300)
+@given(data=st.data())
+def test_given_cells_meet_the_reference_outcome(config, data):
+    pool = og.standard_cells(config, 3)
+    cells = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    got = validation_outcome(lambda c, xs: og.Operation(c, xs).cells, config, cells)
+    assert got == validation_outcome(reference_validate, config, cells)
 
 
 def run_main(argv):

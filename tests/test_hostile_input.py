@@ -256,6 +256,21 @@ class TestOperationCellCap:
         assert_typed_exit(capsys, "E_DEPTH", "--backend", "tree:k=64", *argv)
         assert time.perf_counter() - t0 < 10
 
+    def test_a_deep_wide_pattern_validates_quickly(self, capsys):
+        # a right comb 256 cuts deep with its 15 shallowest leaves each cut
+        # into a full subtree 8 cuts deep: 257 - 15 + 15 * 256 = 4082 cells
+        comb = og.op_comb(TREE2, og.MAX_CELL_DEPTH, "right")
+        full = og.Operation(TREE2, tuple(og.Box((8,), (a,)) for a in range(256)))
+        unit = og.op_identity(TREE2)
+        op = og.op_subst(comb, [full] * 15 + [unit] * (comb.arity - 15))
+        assert op.arity == 4082 and op.cells[-1].exps == (og.MAX_CELL_DEPTH,)
+        pattern = "{" + ",".join(map(str, op.cells)) + "}"
+        t0 = time.perf_counter()
+        assert og.Operation(TREE2, op.cells) == op
+        rc, out, err = run(capsys, "--backend", "cube:d=1", "elem", "inv", f"{pattern} | {pattern}")
+        assert rc == 0 and err == "", err
+        assert time.perf_counter() - t0 < 10
+
     def test_a_literal_past_the_cap_is_refused(self, capsys):
         # the 65-generator comb has 4096 cells; a 64-way split in place of
         # its first leaf adds 63
