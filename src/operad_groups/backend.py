@@ -251,10 +251,12 @@ class Operation:
     every tree operation; otherwise it sends each stored cell position to
     its sorted position.  It plays no part in equality.
 
-    ``Operation(config, cells)`` is the boundary for untrusted cells and
-    the only caller of the tiling check; it then shares the memo of
-    ``_tiled``, which takes cells that tile by construction.  ``_sorted``
-    takes cells that tile in sorted order by construction.
+    An operation is made in one of two ways.  ``Operation(config, cells)``
+    is the boundary for untrusted cells and the only caller of the tiling
+    check.  ``_tiled`` takes cells that tile by construction: the
+    identity, the generators, grafts, refinements, nested literals and
+    sorted copies.  Both go through one memo, which holds every cell to
+    ``MAX_CELL_DEPTH`` and hands equal operations one shared cell tuple.
     """
 
     config: BackendConfig
@@ -263,8 +265,6 @@ class Operation:
 
     def __post_init__(self):
         _check_tiling(self.config, self.cells)
-        # the memo hands back the first equal cell tuple it saw, so equal
-        # operations share their cells
         cells, rank = _validate_cells(self.config, self.cells)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "rank", rank)
@@ -272,25 +272,10 @@ class Operation:
     @classmethod
     def _tiled(cls, config: BackendConfig, cells: tuple[Box, ...]) -> "Operation":
         """An operation whose cells tile the unit cube by construction, in
-        any order: a graft, a relative piece of a refinement or a nested
-        literal.  Substituting tilings into tilings tiles again, so these
-        skip the tiling check and go straight to the memo that
-        ``Operation(config, cells)`` shares."""
+        any order.  Substituting tilings into tilings tiles again, cutting
+        a cell into slices tiles it, and the meets of two tilings tile, so
+        these skip the tiling check and go straight to the memo."""
         cells, rank = _validate_cells(config, cells)
-        return cls._trusted(config, cells, rank)
-
-    @classmethod
-    def _sorted(cls, config: BackendConfig, cells: tuple[Box, ...]) -> "Operation":
-        """An operation whose cells tile the unit cube in lexicographic
-        order by construction: splits of the whole cube, the meets of two
-        tilings or a sorted copy of a valid operation.  Only the cell
-        count is checked: no tiling check, no sort and no memo key.  The
-        caller answers for ``MAX_CELL_DEPTH``."""
-        _check_count(cells)
-        return cls._trusted(config, cells, None)
-
-    @classmethod
-    def _trusted(cls, config, cells, rank) -> "Operation":
         op = object.__new__(cls)
         object.__setattr__(op, "config", config)
         object.__setattr__(op, "cells", cells)
@@ -410,20 +395,20 @@ def _cuts_apart(cells, exps: tuple[int, ...], base: int) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def op_identity(config: BackendConfig) -> Operation:
-    """The whole cube as its one cell, trusted."""
+    """The whole cube as its one cell, tiled."""
     # memoized: without it, span_arith's op p50 read 1-2% worse in paired
     # runs on a 2-vCPU host
-    return Operation._sorted(config, (Box.whole(config.dim),))
+    return Operation._tiled(config, (Box.whole(config.dim),))
 
 
 def op_generator(config: BackendConfig, axis: int = 0) -> Operation:
     """The basic split: k slices for trees, a halving of one axis for cubes,
-    trusted, as the slices of the whole cube come out in order."""
+    tiled, with the slices of the whole cube in order."""
     if not 0 <= axis < config.dim:
         raise SlotRangeError(f"axis {axis} out of range for {config}")
     whole = Box.whole(config.dim)
     cells = tuple(whole.child(axis, t, config.base) for t in range(config.base))
-    return Operation._sorted(config, cells)
+    return Operation._tiled(config, cells)
 
 
 def op_subst(outer: Operation, inners) -> Operation:
@@ -490,11 +475,10 @@ def op_common_refinement(p: Operation, q: Operation):
     run 0, 1, 2, ... across the cells; cubes meet every pair of cells and
     sort.
 
-    The meets of two tilings tile, and they are listed sorted, so r is
-    built trusted.  A cube meet can be deeper than both its cells, so r's
-    cells are held to ``MAX_CELL_DEPTH`` here.  The meets inside one cell
-    of p tile that cell, so each phi is built tiled: with no tiling check,
-    but through the memo, which hands equal phis one shared cell tuple.
+    The meets of two tilings tile, and the meets inside one cell of p tile
+    that cell, so r and each phi are built tiled: with no tiling check, but
+    through the memo, which holds a cube meet deeper than both its cells
+    to ``MAX_CELL_DEPTH`` and hands equal operations one shared cell tuple.
     Built without the memo, phis read ``cube_classes`` op p50 3-10% slower
     in paired runs on a 2-vCPU host and held more memory.
     """
@@ -505,7 +489,6 @@ def op_common_refinement(p: Operation, q: Operation):
     if config.kind == KARY_TREE:
         met, parents = _tree_meets(p.cells, q.cells, base)
         order = range(len(met))
-        r = Operation._sorted(config, tuple(met))
     else:
         met, parents = [], []
         for i, c1 in enumerate(p.cells):
@@ -515,9 +498,7 @@ def op_common_refinement(p: Operation, q: Operation):
                     met.append(m)
                     parents.append((i, j))
         order = _sorted_order(met, base)
-        r = Operation._sorted(config, tuple(met[k] for k in order))
-        for c in r.cells:
-            _check_depth(c)
+    r = Operation._tiled(config, tuple(map(met.__getitem__, order)))
     unit = op_identity(config)
 
     def relative(op, side):
@@ -567,7 +548,7 @@ def _tree_meets(p_cells, q_cells, k: int):
 
 
 def cell_operation(config: BackendConfig, box: Box) -> Operation:
-    """The smallest operation having ``box`` among its cells, trusted: the
+    """The smallest operation having ``box`` among its cells, tiled: the
     descent cuts the whole cube down to ``box``, and its cells are sorted
     once.  The depth cap is checked before ``in_range`` and the descent,
     which recurses once per cut."""
@@ -591,7 +572,7 @@ def cell_operation(config: BackendConfig, box: Box) -> Operation:
         return cells
 
     cells = descend(Box.whole(dim))
-    return Operation._sorted(config, _sorted_cells(cells, base))
+    return Operation._tiled(config, _sorted_cells(cells, base))
 
 
 def input_slots(arrow) -> list[tuple[int, int]]:
@@ -627,7 +608,7 @@ def _compositions(total: int, parts: int):
 @functools.lru_cache(maxsize=8192)
 def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, ...]:
     """All canonical operations with exactly the given generator count,
-    trusted: each is the whole cube cut into ``base`` slices along one
+    tiled: each is the whole cube cut into ``base`` slices along one
     axis, the slices filled with operations of fewer generators.
 
     Each tree arises once, so trees keep this generation order.  A cube
@@ -659,7 +640,7 @@ def operations_with_gens(config: BackendConfig, gens: int) -> tuple[Operation, .
             ]
 
         shapes = sorted({_sorted_cells(cells, base) for cells in shapes}, key=key)
-    return tuple(Operation._sorted(config, cells) for cells in shapes)
+    return tuple(Operation._tiled(config, cells) for cells in shapes)
 
 
 def operations_up_to(config: BackendConfig, max_gens: int) -> tuple[Operation, ...]:

@@ -57,7 +57,7 @@ class Arrow:
     The constructor canonicalizes: any forest operation stored with cells
     out of lexicographic order (``op.rank`` not None) is sorted, and the
     correcting block permutation is absorbed into ``perm``; the sorted
-    copy of a valid operation is built trusted.  Planar arrows
+    copy of a valid operation is built tiled.  Planar arrows
     must come out with the identity permutation; anything else is a
     construction bug.
 
@@ -95,7 +95,7 @@ class Arrow:
                     imgs.extend(range(start, start + len(op.cells)))
                 else:
                     cells = tuple(c for _, c in sorted(zip(rank, op.cells)))
-                    canon.append(Operation._sorted(config, cells))
+                    canon.append(Operation._tiled(config, cells))
                     imgs.extend(start + v for v in rank)
             object.__setattr__(self, "forest", tuple(canon))
             object.__setattr__(self, "perm", self.perm * Permutation._trusted(tuple(imgs)))

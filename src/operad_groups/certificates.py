@@ -14,7 +14,6 @@ import math
 from .backend import (
     BackendConfig,
     Box,
-    KARY_TREE,
     SYMMETRIC,
     forests_up_to,
     op_comb,
@@ -128,7 +127,7 @@ def _pingpong_rows(config: BackendConfig, depth: int):
 def pingpong_check(config: BackendConfig, depth: int) -> Report:
     """Table tennis inclusions for the free subgroup on the two balls.
     More than MAX_SWEEP_ROWS rows are refused before any ball is built."""
-    if config.kind == KARY_TREE and config.size != 2:
+    if config.base != 2:
         # the two balls must be complementary halves, as for k = 2 and cubes
         raise UnsupportedBackendError(
             f"the ping-pong certificate needs a binary split, not {config}"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .backend import (
     BackendConfig,
     Box,
-    KARY_TREE,
     PLANAR,
     _parse_int,
     cell_operation,
@@ -34,6 +33,7 @@ from .errors import (
     NotFillingsError,
     NotMultiballError,
     ParseError,
+    SlotRangeError,
 )
 
 
@@ -263,13 +263,15 @@ class SemiPartitionClass:
 def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     """Containment both ways.
 
-    Against an identity leg both ``ma_subset`` verdicts compare the same
-    two markings: the other class's marking, and the identity class's
-    marking pulled back through the other class's arrow.  So the pull-back
-    is made once.  Containment both ways between two markings of one word
-    says that they mark the same coordinates, split into the same blocks;
-    both are relabeled by first occurrence, so that is plain equality.
-    Equality is symmetric, so an identity p is swapped to the right.
+    Any square filling gives both ``ma_subset`` verdicts, so one filling
+    (b1, b2) of the two arrows serves both directions.  Containment both
+    ways between two symbol tuples of one word says that they mark the
+    same coordinates, split into the same blocks: after relabelling by
+    first occurrence, plain equality.  Against an identity leg the
+    filling is the unit law, so the identity class's marking is pulled
+    back through the other class's arrow and compared with its marking,
+    which is relabeled already.  Equality is symmetric, so an identity p
+    is swapped to the right.
     """
     p, q = P.rep, Q.rep
     _require_same_base_ma(p, q)
@@ -277,7 +279,10 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
         p, q = q, p
     if q.arrow.is_identity():
         return p.marking == pull_back(p.arrow, q.marking)
-    return ma_subset(p, q) and ma_subset(q, p)
+    b1, b2 = square_fill(p.arrow, q.arrow)
+    return _relabel(_gather(b1, p.marking.symbols)) == _relabel(
+        _gather(b2, q.marking.symbols)
+    )
 
 
 def _varies_along(here, axis: int, base: int) -> bool:
@@ -412,12 +417,11 @@ def object_class(B: SemiPartitionClass) -> int:
 
 
 def object_equivalent(config: BackendConfig, a: int, b: int) -> bool:
-    """Whether words of these lengths are connected by a span."""
+    """Whether words of these lengths are connected by a span: each cut
+    adds base - 1 inputs."""
     if a == 0 or b == 0:
         return a == b
-    if config.kind == KARY_TREE:
-        return (a - b) % (config.size - 1) == 0
-    return True
+    return (a - b) % (config.base - 1) == 0
 
 
 def trivial_partition(config: BackendConfig, n: int) -> SemiPartitionClass:
@@ -429,6 +433,10 @@ def trivial_partition(config: BackendConfig, n: int) -> SemiPartitionClass:
 
 def ball_at(config: BackendConfig, base_len: int, coord: int, cell: Box) -> SemiPartitionClass:
     """The ball sitting at a standard cell of one codomain coordinate."""
+    if not 0 <= coord < base_len:
+        raise SlotRangeError(
+            f"coordinate {coord} out of range for a base of length {base_len}"
+        )
     forest = [op_identity(config)] * base_len
     forest[coord] = cell_operation(config, cell)
     arrow = Arrow.from_forest(config, forest)

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .backend import (
     BackendConfig,
-    KARY_TREE,
     PLANAR,
     forests_up_to,
     input_slots,
     op_comb,
-    op_generator,
     op_identity,
 )
 from .category import Arrow, compose, square_fill
@@ -55,8 +53,9 @@ MAX_PARTITION_CANDIDATES = 50_000
 
 
 def is_split(config: BackendConfig, x: int) -> bool:
-    """A word splits when it is nonempty and some operation has arity >= 2."""
-    return x >= 1 and op_generator(config).arity >= 2
+    """A word splits when it is nonempty: every backend cuts a cell into
+    at least two."""
+    return x >= 1
 
 
 def is_progressive(config: BackendConfig, x: int) -> bool:
@@ -65,11 +64,9 @@ def is_progressive(config: BackendConfig, x: int) -> bool:
 
 
 def _comb_gens_for_arity(config: BackendConfig, arity: int) -> int:
-    """Generator count of the smallest comb with at least the given arity."""
-    if config.kind == KARY_TREE:
-        step = config.size - 1
-        return -((arity - 1) // -step)
-    return max(arity - 1, 0)
+    """Generator count of the smallest comb with at least the given arity:
+    each cut adds base - 1 inputs."""
+    return -(max(arity - 1, 0) // -(config.base - 1))
 
 
 def _refining_forest(config: BackendConfig, coords: int, arity: int):
@@ -84,7 +81,7 @@ def is_y_progressive(config: BackendConfig, x: int, y: int, depth: int) -> bool:
     one operation (the link condition); witnessed constructively."""
     if x < 1 or y < 1:
         return False
-    step = config.size - 1 if config.kind == KARY_TREE else 1
+    step = config.base - 1
     lengths = [x + g * step for g in range(depth + 1)]
     for m in lengths:
         forest = _refining_forest(config, m, y)

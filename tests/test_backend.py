@@ -409,26 +409,69 @@ class TestTrustedOperations:
                 assert op == twin and repr(op) == repr(twin), str(op)
                 assert op.rank is None and twin.rank is None, str(op)
 
-    def test_an_arrow_sorts_without_checking_again(self, monkeypatch):
+    @staticmethod
+    def count_tiling_checks(monkeypatch):
+        """The names of the tiling-check calls from here on, in a list."""
         calls = []
-        validate = backend._validate_cells
+        for name in ("_cuts_apart", "_check_tiling"):
 
-        def counted(config, cells):
-            calls.append(cells)
-            return validate(config, cells)
+            def counted(*args, _check=getattr(backend, name)):
+                calls.append(_check.__name__)
+                return _check(*args)
 
-        monkeypatch.setattr(backend, "_validate_cells", counted)
+            monkeypatch.setattr(backend, name, counted)
+        return calls
+
+    def test_an_arrow_sorts_without_checking_again(self, monkeypatch):
         rng = random.Random(71)
-        unsorted = 0
-        for config in (CUBE2, CUBE3):
-            for a in arrow_pool(config, 72):
-                calls.clear()
-                forest = self.shuffled(config, a.forest, rng)
-                assert len(calls) == len(forest)
-                unsorted += sum(op.rank is not None for op in forest)
-                arrow = og.Arrow.from_forest(config, forest)
-                assert len(calls) == len(forest) and arrow.forest == a.forest
-        assert unsorted > 0
+        shuffled = [
+            (a, self.shuffled(config, a.forest, rng))
+            for config in (CUBE2, CUBE3)
+            for a in arrow_pool(config, 72)
+        ]
+        assert any(op.rank is not None for _, forest in shuffled for op in forest)
+        calls = self.count_tiling_checks(monkeypatch)
+        for a, forest in shuffled:
+            assert og.Arrow.from_forest(a.config, forest).forest == a.forest
+        assert calls == []
+
+    def test_equal_sorted_ones_share_their_cells(self):
+        """The identity, each generator, ``cell_operation``,
+        ``operations_with_gens``, the refinement r and an arrow's sorted
+        copies, each built twice from separate inputs, share one cell
+        tuple through the memo."""
+        for memo in (
+            backend._validate_cells,
+            og.op_identity,
+            og.operations_with_gens,
+            og.op_common_refinement,
+        ):
+            memo.cache_clear()
+        rng = random.Random(74)
+        for n, config in enumerate(self.CONFIGS):
+            whole = og.Box.whole(config.dim)
+            pairs = [(og.op_identity(config), og.Operation(config, (whole,)))]
+            splits = og.operations_with_gens(config, 1)
+            for axis in range(config.dim):
+                gen = og.op_generator(config, axis)
+                pairs.append((gen, og.op_generator(config, axis)))
+                pairs.append((gen, splits[splits.index(gen)]))
+            for box in og.standard_cells(config, 3):
+                pairs.append((og.cell_operation(config, box), og.cell_operation(config, box)))
+            ops = [random_operation(config, rng, rng.randrange(1, 6)) for _ in range(10)]
+            for p, q in zip(ops, ops[1:]):
+                pairs.append(
+                    (og.op_common_refinement(p, q)[0], og.op_common_refinement(q, p)[0])
+                )
+            if config.kind == og.DYADIC_CUBE:  # tree cells keep their order
+                for a in arrow_pool(config, 75 + n)[:10]:
+                    copies = [
+                        og.Arrow.from_forest(config, self.shuffled(config, a.forest, rng))
+                        for _ in range(2)
+                    ]
+                    pairs.extend(zip(*(copy.forest for copy in copies)))
+            for first, second in pairs:
+                assert first == second and first.cells is second.cells, str(first)
 
     @staticmethod
     def literal(op):
@@ -482,14 +525,7 @@ class TestTrustedOperations:
         # empty memos, so that every tiled operation below is a miss
         backend._validate_cells.cache_clear()
         og.op_common_refinement.cache_clear()
-        calls = []
-        for name in ("_cuts_apart", "_check_tiling"):
-
-            def counted(*args, _check=getattr(backend, name)):
-                calls.append(_check.__name__)
-                return _check(*args)
-
-            monkeypatch.setattr(backend, name, counted)
+        calls = self.count_tiling_checks(monkeypatch)
         for n, config in enumerate(self.CONFIGS):
             list(self.tiled_operations(config, n))
         assert calls == []
@@ -672,6 +708,31 @@ class TestBackendConfig:
             for _ in range(25):
                 op = random_operation(config, rng, rng.randrange(5))
                 assert og.parse_operation(og.format_operation(op), config) == op
+
+
+class TestOnlyTheBackendKnowsTheKind:
+    def test_no_other_module_names_a_backend_kind(self):
+        """Every other layer reads a backend through its base and dim:
+        only ``backend`` (and ``__init__``, which re-exports the kinds)
+        names ``KARY_TREE`` or ``DYADIC_CUBE`` or reads ``.kind`` or
+        ``.size``."""
+        kinds = {"KARY_TREE", "DYADIC_CUBE"}
+        package = pathlib.Path(og.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "backend.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                    named = {alias.name for alias in node.names} & kinds
+                elif isinstance(node, ast.Name):
+                    named = {node.id} & kinds
+                elif isinstance(node, ast.Attribute):
+                    named = {node.attr} & (kinds | {"kind", "size"})
+                else:
+                    continue
+                offenders += [(path.name, name) for name in sorted(named)]
+        assert offenders == []
 
 
 class TestIntegerOnly:

@@ -511,6 +511,16 @@ _REFUSALS = [
     (lambda: og.Operation(TREE2, ()), "E_NOT_PARTITION", "at least one cell"),
     (lambda: og.cell_operation(CUBE2, og.Box((1,), (0,))), "E_NOT_PARTITION", "does not fit"),
     (
+        lambda: og.ball_at(TREE2, 2, -1, og.Box.whole(1)),
+        "E_SLOT_RANGE",
+        "coordinate -1 out of range for a base of length 2",
+    ),
+    (
+        lambda: og.ball_at(TREE2, 2, 2, og.Box.whole(1)),
+        "E_SLOT_RANGE",
+        "coordinate 2 out of range for a base of length 2",
+    ),
+    (
         lambda: og.StabilizerWitness(_marked(_HALF_MARKED), (2,), _ONE),
         "E_NOT_PARTITION",
         "needs a partition",

@@ -3,10 +3,10 @@ they replace.
 
 ``pull_back`` (the gather), ``marking_subset``, the normalization of
 class representatives (one scatter by ``Permutation.permute``) and
-``sp_class_eq`` against an identity leg are each checked against the
-slower construction kept in ``tests/helpers.py``: the same result, or the
-same typed error, over random arrows and markings on every backend shape
-at base lengths 1 and 2.  ``ma_subset``, which decides on the gathered
+``sp_class_eq``, with or without an identity leg, are each checked
+against the slower construction kept in ``tests/helpers.py``: the same
+result, or the same typed error, over random arrows and markings on every
+backend shape at base lengths 1 and 2.  ``ma_subset``, which decides on the gathered
 symbol tuples without building a ``Marking``, is checked against the
 references through its own square filling and against ``ma_subset_with``.
 """
@@ -138,6 +138,33 @@ class TestClassEquality:
                 calls.clear()
                 og.sp_class_eq(x, y)
                 assert len(calls) == 1
+
+
+    def test_a_pair_without_an_identity_leg_fills_once(self, monkeypatch):
+        calls = []
+        square_fill = og.markings.square_fill
+
+        def counted(*args):
+            calls.append(args)
+            return square_fill(*args)
+
+        monkeypatch.setattr(og.markings, "square_fill", counted)
+        pool = [og.SemiPartitionClass(ma) for ma in marked_pool(CUBE2, 996)]
+        pairs = [
+            (x, y)
+            for x in pool
+            for y in pool
+            if x.base_len == y.base_len
+            and not (x.rep.arrow.is_identity() or y.rep.arrow.is_identity())
+        ]
+        verdicts = set()
+        for x, y in pairs:
+            calls.clear()
+            got = og.sp_class_eq(x, y)
+            assert len(calls) == 1
+            assert got == reference_sp_class_eq(x, y), (str(x), str(y))
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 def marked_pool(config, seed):
