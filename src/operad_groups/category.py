@@ -64,14 +64,19 @@ class Arrow:
     The hash is the structural one, computed on first use and kept in
     ``_hash``: arrows are the keys of the ``square_fill`` memo and of
     ``check_filtered``'s bounds, and each lookup would otherwise rehash
-    every operation, cell and permutation inside.  ``_hash`` plays no part
-    in equality or repr.
+    every operation, cell and permutation inside.  The wiring table, the
+    codomain coordinate that each domain coordinate feeds, is likewise
+    built on first read and kept in ``_wiring``: a filling returned by
+    the memo is the same object on every hit, so the markings gathered
+    through it reuse one table.  Neither slot plays any part in equality,
+    hash or repr.
     """
 
     config: BackendConfig
     perm: Permutation
     forest: tuple[Operation, ...] = field(default=())
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _wiring: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         config = self.config
@@ -136,8 +141,22 @@ class Arrow:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def _wiring_table(self) -> tuple[int, ...]:
+        table = self._wiring
+        if table is None:
+            table = _build_wiring(self)
+            object.__setattr__(self, "_wiring", table)
+        return table
+
     def __str__(self):
         return format_arrow(self)
+
+
+def _build_wiring(a: Arrow) -> tuple[int, ...]:
+    """For each domain coordinate, the codomain coordinate whose operation
+    it feeds: the owner of its forest slot ``perm.imgs[i]``."""
+    owners = [j for j, op in enumerate(a.forest) for _ in op.cells]
+    return tuple(map(owners.__getitem__, a.perm.imgs))
 
 
 def perm_arrow(config: BackendConfig, perm: Permutation) -> Arrow:

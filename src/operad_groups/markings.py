@@ -127,11 +127,11 @@ def parse_marking(text: str) -> Marking:
 
 
 def _gather(arrow: Arrow, symbols: tuple) -> tuple:
-    """The pulled-back symbol tuple, not relabeled: one symbol per input of
-    the forest in slot order, its output's symbol, read off at
-    ``perm.imgs``.  The symbols must cover the codomain."""
-    slots = [s for s, op in zip(symbols, arrow.forest) for _ in op.cells]
-    return tuple(map(slots.__getitem__, arrow.perm.imgs))
+    """The pulled-back symbol tuple, not relabeled: each domain coordinate
+    reads the symbol of the codomain coordinate it feeds, through the
+    arrow's wiring table, which the arrow builds once and keeps.  The
+    symbols must cover the codomain."""
+    return tuple(map(symbols.__getitem__, arrow._wiring_table()))
 
 
 def pull_back(arrow: Arrow, comarking: Marking) -> Marking:
@@ -197,7 +197,8 @@ def parse_marked_arrow(text: str, config: BackendConfig) -> MarkedArrow:
 
 
 def _require_same_base_ma(p: MarkedArrow, q: MarkedArrow):
-    if (p.config is not q.config and p.config != q.config) or p.base_len != q.base_len:
+    a, b = p.arrow, q.arrow
+    if (a.config is not b.config and a.config != b.config) or len(a.forest) != len(b.forest):
         raise BaseMismatchError("marked arrows over different base words")
 
 
@@ -264,14 +265,15 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     """Containment both ways.
 
     Any square filling gives both ``ma_subset`` verdicts, so one filling
-    (b1, b2) of the two arrows serves both directions.  Containment both
-    ways between two symbol tuples of one word says that they mark the
-    same coordinates, split into the same blocks: after relabelling by
-    first occurrence, plain equality.  Against an identity leg the
-    filling is the unit law, so the identity class's marking is pulled
-    back through the other class's arrow and compared with its marking,
-    which is relabeled already.  Equality is symmetric, so an identity p
-    is swapped to the right.
+    (b1, b2) of the two arrows serves both directions, each one
+    ``_symbols_subset`` pass over the two gathered tuples.  The passes
+    succeed together exactly when the tuples mark the same coordinates
+    and a bijection of symbols maps one onto the other, which is what
+    equal relabellings by first occurrence say, so neither tuple is
+    relabeled.  Against an identity leg the filling is the unit law, so
+    the identity class's marking is pulled back through the other class's
+    arrow and compared with its marking, which is relabeled already.
+    Equality is symmetric, so an identity p is swapped to the right.
     """
     p, q = P.rep, Q.rep
     _require_same_base_ma(p, q)
@@ -280,9 +282,8 @@ def sp_class_eq(P: SemiPartitionClass, Q: SemiPartitionClass) -> bool:
     if q.arrow.is_identity():
         return p.marking == pull_back(p.arrow, q.marking)
     b1, b2 = square_fill(p.arrow, q.arrow)
-    return _relabel(_gather(b1, p.marking.symbols)) == _relabel(
-        _gather(b2, q.marking.symbols)
-    )
+    s1, s2 = _gather(b1, p.marking.symbols), _gather(b2, q.marking.symbols)
+    return _symbols_subset(s1, s2) and _symbols_subset(s2, s1)
 
 
 def _varies_along(here, axis: int, base: int) -> bool:

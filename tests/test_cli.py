@@ -1,9 +1,11 @@
 """The operad-groups command line: outputs, JSON schema, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import operad_groups as og
 from operad_groups.cli import main
@@ -221,10 +223,14 @@ class TestSharedParser:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package this test imported, not an installed copy
+        path = [str(Path(og.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "operad_groups", "elem", "order", SWAP, "--max", "4"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "2\n"

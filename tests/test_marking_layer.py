@@ -9,8 +9,12 @@ result, or the same typed error, over random arrows and markings on every
 backend shape at base lengths 1 and 2.  ``ma_subset``, which decides on the gathered
 symbol tuples without building a ``Marking``, is checked against the
 references through its own square filling and against ``ma_subset_with``.
+Each arrow's wiring table, which the gathers read, is checked against the
+reference slot lookup, and is built once per arrow however often a
+preorder query fills through it.
 """
 
+import itertools
 import random
 
 import operad_groups as og
@@ -25,6 +29,7 @@ from helpers import (
     random_marking,
     reference_marking_subset,
     reference_normalize,
+    reference_input_slots,
     reference_pull_back,
     reference_sp_class_eq,
 )
@@ -226,3 +231,92 @@ class TestMaSubset:
         # the counters see what they count
         og.markings.pull_back(pool[0].arrow, og.Marking((0,) * pool[0].base_len))
         assert calls["pull_back"] == 1 and calls["Marking"] == 2
+
+
+def wiring_cases():
+    """Pairs of equal arrows built apart: random arrows on every backend
+    at base lengths 1 and 2, identities of lengths 0, 1 and 3, and cube
+    arrows whose forest the constructor re-sorted."""
+    cases = []
+    for n, config in enumerate(CONFIGS):
+        cases += zip(arrows(config, 70 + n), arrows(config, 70 + n))
+        cases += [(og.Arrow.identity(config, k), og.Arrow.identity(config, k)) for k in (0, 1, 3)]
+    rng = random.Random(76)
+    resorted = 0
+    for config in (CUBE1, CUBE2, CUBE3):
+        for a in arrows(config, 77):
+            shuffled = tuple(
+                og.Operation(config, tuple(rng.sample(op.cells, len(op.cells)))) for op in a.forest
+            )
+            resorted += any(op.rank is not None for op in shuffled)
+            cases.append((og.Arrow(config, a.perm, shuffled), og.Arrow(config, a.perm, shuffled)))
+    assert resorted > 40
+    return cases
+
+
+class TestWiringTable:
+    def test_matches_the_reference_slots(self):
+        for a, _ in wiring_cases():
+            assert list(a._wiring_table()) == [j for j, _ in reference_input_slots(a)], str(a)
+
+    def test_filling_it_changes_no_identity_and_no_memo_hit(self):
+        for a, twin in wiring_cases():
+            seen = (repr(a), str(a), hash(a))
+            a._wiring_table()
+            assert a._wiring is not None and twin._wiring is None
+            assert (repr(a), str(a), hash(a)) == seen
+            assert a == twin and twin == a and hash(twin) == hash(a)
+            # the bare twin's memo entry serves the arrow with its table
+            og.square_fill(twin, twin)
+            hits = og.square_fill.cache_info().hits
+            og.square_fill(a, a)
+            assert og.square_fill.cache_info().hits == hits + 1
+
+    def test_built_once_per_filling_and_never_on_a_repeat(self, monkeypatch):
+        built = []
+        build = og.category._build_wiring
+
+        def counted(a):
+            built.append(a)
+            return build(a)
+
+        monkeypatch.setattr(og.category, "_build_wiring", counted)
+        og.square_fill.cache_clear()  # every filling below is a new arrow
+        pool = marked_pool(CUBE2, 980) + marked_pool(TREE2, 981)
+        classes = [og.SemiPartitionClass(ma) for ma in pool]
+        pairs = [
+            (i, k)
+            for i, p in enumerate(pool)
+            for k, q in enumerate(pool)
+            if p.config == q.config and p.base_len == q.base_len
+        ]
+        for repeat in range(4):
+            before = len(built)
+            for i, k in pairs:
+                og.ma_subset(pool[i], pool[k])
+                og.sp_class_eq(classes[i], classes[k])
+            if repeat:
+                assert len(built) == before
+        # what was gathered through: every filling, and against an
+        # identity leg the other class's own arrow
+        gathered = {}
+        for i, k in pairs:
+            gathered.update((id(b), b) for b in og.square_fill(pool[i].arrow, pool[k].arrow))
+            p, q = classes[i].rep.arrow, classes[k].rep.arrow
+            if p.is_identity():
+                p, q = q, p
+            if q.is_identity():
+                gathered[id(p)] = p
+            else:
+                gathered.update((id(b), b) for b in og.square_fill(p, q))
+        assert sorted(map(id, built)) == sorted(gathered)
+
+
+class TestOnePassEquality:
+    def test_subsets_both_ways_are_equal_relabellings(self):
+        for n in range(5):
+            words = list(itertools.product((None, 0, 1, 2), repeat=n))
+            for a in words:
+                for b in words:
+                    both = og.markings._symbols_subset(a, b) and og.markings._symbols_subset(b, a)
+                    assert both == (og.markings._relabel(a) == og.markings._relabel(b)), (a, b)
